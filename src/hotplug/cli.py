@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 
 from . import config as cfg_mod
 from . import verify
 from .data import generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, FormatError, HotplugError, ParameterError
-from .evaluation import hot_plug_report, raw_swap_baseline
+from .evaluation import hot_plug_report
 from .training import load_checkpoint, pretrain_clip, save_checkpoint, train_taca
 
 EXIT_OK = 0
@@ -121,7 +120,8 @@ def cmd_eval_compat(args) -> int:
     _check_digests(old_ckpt, new_ckpt, taca_ckpt, args.force)
     report = hot_plug_report(
         old_ckpt, taca_ckpt, new_ckpt, dataset, args.task,
-        k=config["eval"]["k"], head_seeds=tuple(config["eval"]["head_seeds"]))
+        k=config["eval"]["k"], head_seeds=tuple(config["eval"]["head_seeds"]),
+        gallery_seed=config["eval"]["gallery_seed"])
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_json() + "\n")

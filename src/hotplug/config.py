@@ -15,7 +15,6 @@ import json
 from . import data as data_mod
 from .encoders import ImageSpec, TextEncoderConfig, VisualEncoderConfig
 from .errors import ConfigError
-from .losses import CompatLossConfig, ContrastiveConfig
 from .peft import TacaConfig
 from .training import TrainConfig
 
@@ -130,9 +129,3 @@ def train_config_from(config: dict, steps: int | None = None,
         temperature=loss["temperature"],
         symmetric_contrastive=loss["symmetric_contrastive"])
 
-
-def loss_config_from(config: dict) -> CompatLossConfig:
-    loss = config["loss"]
-    return CompatLossConfig(
-        distill_weight=loss["distill_weight"],
-        contrastive=ContrastiveConfig(temperature=loss["temperature"]))

@@ -8,6 +8,7 @@ round-trips bitwise.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -205,36 +206,38 @@ def save_dataset(dataset: Dataset, path):
         fh.write(dataset.captions.astype("<u4").tobytes())
 
 
-def _read_exact(fh, count: int) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
+def read_exact(fh, count: int) -> bytes:
+    """Read ``count`` bytes of a binary artifact; a declared size beyond the
+    bytes left in the file raises before anything is allocated."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > left:
         raise TruncatedFileError(
-            f"expected {count} bytes, got {len(data)}")
-    return data
+            f"truncated file: expected {count} bytes, {left} left")
+    return fh.read(count)
 
 
 def load_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4)
+        magic = read_exact(fh, 4)
         if magic != DATASET_MAGIC:
             raise FormatError(f"bad dataset magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        (version,) = struct.unpack("<I", read_exact(fh, 4))
         if version != DATASET_VERSION:
             raise FormatError(f"unsupported dataset version {version}")
-        n, h, w, c, p = struct.unpack("<IIIII", _read_exact(fh, 20))
-        vocab, cap_len, seed = struct.unpack("<IIq", _read_exact(fh, 16))
+        n, h, w, c, p = struct.unpack("<IIIII", read_exact(fh, 20))
+        vocab, cap_len, seed = struct.unpack("<IIq", read_exact(fh, 16))
         if vocab != VOCAB_SIZE or cap_len != CAPTION_LEN:
             raise FormatError(
                 f"vocab/caption layout mismatch: {vocab}/{cap_len}")
-        (digest_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        digest = _read_exact(fh, digest_len).decode("utf-8")
+        (digest_len,) = struct.unpack("<I", read_exact(fh, 4))
+        digest = read_exact(fh, digest_len).decode("utf-8")
         spec = ImageSpec(h, w, c, p)
-        latents = np.frombuffer(_read_exact(fh, n * 3), dtype="<u1")
+        latents = np.frombuffer(read_exact(fh, n * 3), dtype="<u1")
         latents = latents.reshape(n, 3).copy()
         img_count = n * h * w * c
-        images = np.frombuffer(_read_exact(fh, img_count * 8), dtype="<f8")
+        images = np.frombuffer(read_exact(fh, img_count * 8), dtype="<f8")
         images = images.reshape(n, h, w, c).copy()
-        captions = np.frombuffer(_read_exact(fh, n * cap_len * 4), dtype="<u4")
+        captions = np.frombuffer(read_exact(fh, n * cap_len * 4), dtype="<u4")
         captions = captions.reshape(n, cap_len).copy()
         trailing = fh.read(1)
         if trailing:

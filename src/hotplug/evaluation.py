@@ -26,7 +26,6 @@ from .data import (
 )
 from .encoders import encode_image, encode_text
 from .errors import ConfigError, ContractError, ParameterError
-from .losses import UNIT_ROW_TOL
 from .training import (
     AdamW,
     Checkpoint,
@@ -159,34 +158,24 @@ def canonical_caption_gallery(text_weights, gallery_seed: int = 1234) -> np.ndar
     return _batched_values(lambda c: encode_text(text_weights, c), captions)
 
 
-class _EvalSplit:
-    """Deterministic half/half split of the eval dataset: the first half
-    trains classifier heads, the second half is scored."""
-
-    def __init__(self, dataset: Dataset):
-        n = len(dataset)
-        if n < 4:
-            raise ConfigError("evaluation dataset too small to split")
-        half = n // 2
-        self.head_images = dataset.images[:half]
-        self.head_labels = dataset.factor_indices()[:half]
-        self.eval_images = dataset.images[half:]
-        self.eval_labels = dataset.factor_indices()[half:]
-
-
 def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
                     new_ckpt: Checkpoint | None, eval_dataset: Dataset,
                     task: str, k: int = 1, head_seeds=(0,),
-                    adapted_extractor=None) -> CompatReport:
+                    adapted_extractor=None,
+                    gallery_seed: int = 1234) -> CompatReport:
     """Build the compatibility-ordering report for one trained pipeline.
 
     ``adapted_extractor`` overrides the hot-plugged feature extractor (a
     callable mapping an image batch to features); by default it is rebuilt
     from the attachment checkpoint. ``new_ckpt`` supplies the cold-plug upper
-    bound and may be omitted.
+    bound and may be omitted. Each encoder encodes the eval split once; for
+    classification the first half trains the heads and the second is scored.
     """
     if task not in ("retrieval", "classification"):
         raise ConfigError(f"unknown task {task!r}")
+    n = len(eval_dataset)
+    if task == "classification" and n < 4:
+        raise ConfigError("evaluation dataset too small to split")
     old_visual, old_text, _ = clip_encoders_from_checkpoint(old_ckpt)
     new_visual = new_text = None
     if new_ckpt is not None:
@@ -204,51 +193,43 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
         "new": "" if new_ckpt is None else new_ckpt.meta.get("config_digest", ""),
     }
 
-    labels_all = eval_dataset.factor_indices()
-    old_feats = _batched_values(lambda x: encode_image(old_visual, x),
-                                eval_dataset.images)
-    adapted_feats = _batched_values(adapted_extractor, eval_dataset.images)
+    images = eval_dataset.images
+    labels = eval_dataset.factor_indices()
+    old_feats = _batched_values(lambda x: encode_image(old_visual, x), images)
+    adapted_feats = _batched_values(adapted_extractor, images)
+    new_feats = (None if new_ckpt is None else
+                 _batched_values(lambda x: encode_image(new_visual, x), images))
 
     if task == "retrieval":
-        gallery_old = canonical_caption_gallery(old_text)
-        m_old_old = recall_at_k(old_feats, gallery_old, labels_all, k)
-        m_old_new = recall_at_k(adapted_feats, gallery_old, labels_all, k)
+        gallery_old = canonical_caption_gallery(old_text, gallery_seed)
+        m_old_old = recall_at_k(old_feats, gallery_old, labels, k)
+        m_old_new = recall_at_k(adapted_feats, gallery_old, labels, k)
         m_new_new = None
         if new_ckpt is not None:
-            new_feats = _batched_values(lambda x: encode_image(new_visual, x),
-                                        eval_dataset.images)
-            gallery_new = canonical_caption_gallery(new_text)
-            m_new_new = recall_at_k(new_feats, gallery_new, labels_all, k)
+            gallery_new = canonical_caption_gallery(new_text, gallery_seed)
+            m_new_new = recall_at_k(new_feats, gallery_new, labels, k)
         return make_report("retrieval", f"recall@{k}", m_old_old, m_old_new,
                            m_new_new, [], digests, {})
 
-    split = _EvalSplit(eval_dataset)
-    head_old_feats = _batched_values(lambda x: encode_image(old_visual, x),
-                                     split.head_images)
-    eval_old = _batched_values(lambda x: encode_image(old_visual, x),
-                               split.eval_images)
-    eval_adapted = _batched_values(adapted_extractor, split.eval_images)
+    half = n // 2
+    head_labels, eval_labels = labels[:half], labels[half:]
     per_seed = {"m_old_old": [], "m_old_new": [], "m_new_new": []}
     for seed in head_seeds:
-        head_old = train_head(head_old_feats, split.head_labels, NUM_FACTORS,
+        head_old = train_head(old_feats[:half], head_labels, NUM_FACTORS,
                               seed=seed, trained_on="old")
         frozen = (head_old.weight.copy(), head_old.bias.copy())
-        per_seed["m_old_old"].append(eval_top1(head_old, eval_old,
-                                               split.eval_labels))
-        per_seed["m_old_new"].append(eval_top1(head_old, eval_adapted,
-                                               split.eval_labels))
+        per_seed["m_old_old"].append(eval_top1(head_old, old_feats[half:],
+                                               eval_labels))
+        per_seed["m_old_new"].append(eval_top1(head_old, adapted_feats[half:],
+                                               eval_labels))
         if not (np.array_equal(frozen[0], head_old.weight)
                 and np.array_equal(frozen[1], head_old.bias)):
             raise ContractError("old head mutated during hot-plug evaluation")
         if new_ckpt is not None:
-            head_feats_new = _batched_values(
-                lambda x: encode_image(new_visual, x), split.head_images)
-            eval_new = _batched_values(lambda x: encode_image(new_visual, x),
-                                       split.eval_images)
-            head_new = train_head(head_feats_new, split.head_labels,
-                                  NUM_FACTORS, seed=seed, trained_on="new")
-            per_seed["m_new_new"].append(eval_top1(head_new, eval_new,
-                                                   split.eval_labels))
+            head_new = train_head(new_feats[:half], head_labels, NUM_FACTORS,
+                                  seed=seed, trained_on="new")
+            per_seed["m_new_new"].append(eval_top1(head_new, new_feats[half:],
+                                                   eval_labels))
     med = lambda xs: float(np.median(xs)) if xs else None
     return make_report("classification", "top1", med(per_seed["m_old_old"]),
                        med(per_seed["m_old_new"]), med(per_seed["m_new_new"]),

@@ -8,7 +8,7 @@ trainable during compatibility training; the backbone stays frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

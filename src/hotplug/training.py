@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Dataset
+from .data import Dataset, read_exact
 from .encoders import (
     EncoderWeights,
     ImageSpec,
@@ -26,9 +27,9 @@ from .encoders import (
     encode_text,
     init_encoder,
 )
-from .errors import ConfigError, ContractError, FormatError, TruncatedFileError
+from .errors import ConfigError, ContractError, FormatError
 from .losses import CompatLossConfig, ContrastiveConfig, clip_symmetric_loss, compat_total
-from .peft import TacaAttachment, TacaConfig, attach_taca
+from .peft import TacaConfig, attach_taca
 
 CHECKPOINT_MAGIC = b"TACK"
 CHECKPOINT_VERSION = 1
@@ -139,35 +140,28 @@ def save_checkpoint(checkpoint: Checkpoint, path):
             fh.write(arr.astype("<f8").tobytes())
 
 
-def _read_exact(fh, count: int) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise TruncatedFileError(f"expected {count} bytes, got {len(data)}")
-    return data
-
-
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4)
+        magic = read_exact(fh, 4)
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        (version,) = struct.unpack("<I", read_exact(fh, 4))
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<I", _read_exact(fh, 4))
+        (meta_len,) = struct.unpack("<I", read_exact(fh, 4))
         try:
-            meta = json.loads(_read_exact(fh, meta_len).decode("utf-8"))
+            meta = json.loads(read_exact(fh, meta_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"corrupt checkpoint metadata: {exc}") from exc
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
+        (count,) = struct.unpack("<I", read_exact(fh, 4))
         tensors = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            name = _read_exact(fh, name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4))
-            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
-            size = int(np.prod(shape)) if rank else 1
-            arr = np.frombuffer(_read_exact(fh, size * 8), dtype="<f8")
+            (name_len,) = struct.unpack("<I", read_exact(fh, 4))
+            name = read_exact(fh, name_len).decode("utf-8")
+            (rank,) = struct.unpack("<I", read_exact(fh, 4))
+            shape = struct.unpack(f"<{rank}I", read_exact(fh, 4 * rank))
+            size = math.prod(shape)
+            arr = np.frombuffer(read_exact(fh, size * 8), dtype="<f8")
             if name in tensors:
                 raise FormatError(f"duplicate tensor name {name!r}")
             tensors[name] = arr.reshape(shape).copy()

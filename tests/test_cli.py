@@ -1,9 +1,11 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from hotplug import evaluation
 from hotplug.cli import EXIT_IO, EXIT_OK, EXIT_ORDERING, EXIT_USAGE, main
 from hotplug.data import load_dataset
 from hotplug.training import load_checkpoint
@@ -105,6 +107,45 @@ class TestPretrain:
         assert code == EXIT_IO
 
 
+def _oversized_dataset(path):
+    """A 60-byte dataset whose header declares 2**31 samples."""
+    header = (b"TACD" + struct.pack("<I", 1)
+              + struct.pack("<IIIII", 2 ** 31, 16, 16, 1, 4)
+              + struct.pack("<IIq", 32, 4, 0) + struct.pack("<I", 0))
+    path.write_bytes(header.ljust(60, b"\0"))
+    return str(path)
+
+
+def _oversized_checkpoint(path):
+    """A 61-byte checkpoint whose one tensor declares shape (2**20,) * 3."""
+    body = (b"TACK" + struct.pack("<I", 1) + struct.pack("<I", 2) + b"{}"
+            + struct.pack("<I", 1) + struct.pack("<I", 1) + b"w"
+            + struct.pack("<I", 3) + struct.pack("<3I", *(2 ** 20,) * 3))
+    path.write_bytes(body.ljust(61, b"\0"))
+    return str(path)
+
+
+class TestOversizedHeaders:
+    def test_dataset_declaring_more_than_file_is_io_error(self, workspace,
+                                                          tmp_path, capsys):
+        data = _oversized_dataset(tmp_path / "huge.tacd")
+        assert (tmp_path / "huge.tacd").stat().st_size == 60
+        code = main(["pretrain", "--role", "old", "--data", data,
+                     "--out", str(tmp_path / "o"), "--config", workspace["cfg"]])
+        assert code == EXIT_IO
+        assert "truncated" in capsys.readouterr().err
+
+    def test_checkpoint_declaring_more_than_file_is_io_error(self, workspace,
+                                                             tmp_path, capsys):
+        ckpt = _oversized_checkpoint(tmp_path / "huge.tack")
+        assert (tmp_path / "huge.tack").stat().st_size == 61
+        code = main(["eval-compat", "--old", ckpt, "--taca", workspace["taca"],
+                     "--data", workspace["eval"], "--task", "retrieval",
+                     "--config", workspace["cfg"]])
+        assert code == EXIT_IO
+        assert "truncated" in capsys.readouterr().err
+
+
 class TestTrainTaca:
     def test_loss_csv_recomposes(self, workspace):
         rows = list(csv.DictReader(open(workspace["root"] / "loss.csv")))
@@ -160,6 +201,27 @@ class TestEvalCompat:
                 "--task", "retrieval", "--config", workspace["cfg"]]
         assert main(args) == EXIT_USAGE
         assert main(args + ["--force"]) in (EXIT_OK, EXIT_ORDERING)
+
+    def test_gallery_seed_from_config(self, workspace, tmp_path, monkeypatch):
+        cfg = json.loads(json.dumps(FAST_CONFIG))
+        cfg["eval"]["gallery_seed"] = 77
+        cfg_path = tmp_path / "gallery.json"
+        cfg_path.write_text(json.dumps(cfg))
+        seeds = []
+        real_gallery = evaluation.canonical_caption_gallery
+
+        def recording_gallery(text_weights, gallery_seed=1234):
+            seeds.append(gallery_seed)
+            return real_gallery(text_weights, gallery_seed)
+
+        monkeypatch.setattr(evaluation, "canonical_caption_gallery",
+                            recording_gallery)
+        code = main(["eval-compat", "--old", workspace["old"],
+                     "--taca", workspace["taca"], "--new-cold", workspace["new"],
+                     "--data", workspace["eval"], "--task", "retrieval",
+                     "--config", str(cfg_path)])
+        assert code in (EXIT_OK, EXIT_ORDERING)
+        assert seeds == [77, 77]
 
 
 class TestVerifyAndUsage:

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from hotplug import autodiff as ad
+from hotplug import evaluation
 from hotplug.data import NUM_FACTORS, generate_dataset
 from hotplug.encoders import (
     ImageSpec,
@@ -23,6 +25,7 @@ from hotplug.evaluation import (
 )
 from hotplug.training import (
     TrainConfig,
+    attachment_from_checkpoint,
     clip_encoders_from_checkpoint,
     pretrain_clip,
     train_taca,
@@ -218,6 +221,74 @@ class TestHotPlugReport:
         b = hot_plug_report(old, taca, new, eva, "classification",
                             head_seeds=(0, 1))
         assert a.to_json() == b.to_json()
+
+    def test_each_encoder_encodes_split_once(self, tiny_pipeline, monkeypatch):
+        ds, eva, old, new, taca = tiny_pipeline
+        rows = {"old": 0, "adapted": 0, "new": 0}
+        role = {OLD_VCFG.embed_dim: "old", NEW_VCFG.embed_dim: "new"}
+        real_encode = evaluation.encode_image
+
+        def counting_encode(weights, images, **kwargs):
+            rows[role[weights.config.embed_dim]] += images.shape[0]
+            return real_encode(weights, images, **kwargs)
+
+        new_visual, _, _ = clip_encoders_from_checkpoint(new)
+        _, adapted = attachment_from_checkpoint(taca, new_visual)
+
+        def counting_adapted(images):
+            rows["adapted"] += images.shape[0]
+            return adapted.encode(images)
+
+        monkeypatch.setattr(evaluation, "encode_image", counting_encode)
+        for task in ("retrieval", "classification"):
+            rows.update(dict.fromkeys(rows, 0))
+            hot_plug_report(old, taca, new, eva, task, head_seeds=(0, 1),
+                            adapted_extractor=counting_adapted)
+            assert rows == dict.fromkeys(rows, len(eva)), task
+
+    def test_classification_matches_separately_encoded_halves(self, tiny_pipeline):
+        ds, eva, old, new, taca = tiny_pipeline
+        split = generate_dataset(256, 8, SPEC)
+        seeds = (0, 1)
+        report = hot_plug_report(old, taca, new, split, "classification",
+                                 head_seeds=seeds)
+
+        old_visual, _, _ = clip_encoders_from_checkpoint(old)
+        new_visual, _, _ = clip_encoders_from_checkpoint(new)
+        _, adapted = attachment_from_checkpoint(taca, new_visual)
+
+        def features(encode, images):
+            with ad.no_grad():
+                return np.concatenate([encode(images[s:s + 64]).values
+                                       for s in range(0, len(images), 64)])
+
+        half = len(split) // 2
+        head_x, eval_x = split.images[:half], split.images[half:]
+        labels = split.factor_indices()
+        head_y, eval_y = labels[:half], labels[half:]
+        old_enc = lambda x: encode_image(old_visual, x)
+        new_enc = lambda x: encode_image(new_visual, x)
+        expected = {"m_old_old": [], "m_old_new": [], "m_new_new": []}
+        for seed in seeds:
+            head_old = train_head(features(old_enc, head_x), head_y,
+                                  NUM_FACTORS, seed=seed)
+            expected["m_old_old"].append(
+                eval_top1(head_old, features(old_enc, eval_x), eval_y))
+            expected["m_old_new"].append(
+                eval_top1(head_old, features(adapted.encode, eval_x), eval_y))
+            head_new = train_head(features(new_enc, head_x), head_y,
+                                  NUM_FACTORS, seed=seed, trained_on="new")
+            expected["m_new_new"].append(
+                eval_top1(head_new, features(new_enc, eval_x), eval_y))
+        assert report.per_seed == expected
+        for key, values in expected.items():
+            assert getattr(report, key) == float(np.median(values))
+
+    def test_classification_needs_four_samples(self, tiny_pipeline):
+        ds, eva, old, new, taca = tiny_pipeline
+        with pytest.raises(ConfigError, match="too small to split"):
+            hot_plug_report(old, taca, new, generate_dataset(3, 1, SPEC),
+                            "classification")
 
 
 class TestRawSwapBaseline:
