@@ -63,6 +63,7 @@ def cmd_pretrain(args) -> int:
         seed = args.seed
     train_cfg = cfg_mod.train_config_from(config, steps=steps, seed=seed)
     ckpt = pretrain_clip(visual_cfg, text_cfg, dataset, train_cfg,
+                         cfg_mod.loss_config_from(config).contrastive,
                          config_digest=digest)
     save_checkpoint(ckpt, args.out)
     print(f"pretrained {args.role} encoder: final loss "
@@ -78,13 +79,8 @@ def cmd_train_taca(args) -> int:
     new_ckpt = load_checkpoint(args.new)
     taca_cfg = cfg_mod.taca_config_from(config)
     train_cfg = cfg_mod.train_config_from(config, taca=True)
-    try:
-        ckpt, log = train_taca(old_ckpt, new_ckpt, taca_cfg, dataset,
-                               train_cfg, config_digest=digest)
-    except ConfigError as exc:
-        d_old = old_ckpt.meta.get("visual_config", {}).get("embed_dim")
-        d_new = new_ckpt.meta.get("visual_config", {}).get("embed_dim")
-        raise ConfigError(f"{exc} (old embed_dim={d_old}, new embed_dim={d_new})")
+    ckpt, log = train_taca(old_ckpt, new_ckpt, taca_cfg, dataset, train_cfg,
+                           cfg_mod.loss_config_from(config), config_digest=digest)
     save_checkpoint(ckpt, args.out)
     if args.log:
         with open(args.log, "w", newline="") as fh:

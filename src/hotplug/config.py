@@ -15,6 +15,7 @@ import json
 from . import data as data_mod
 from .encoders import ImageSpec, TextEncoderConfig, VisualEncoderConfig
 from .errors import ConfigError
+from .losses import CompatLossConfig, ContrastiveConfig
 from .peft import TacaConfig
 from .training import TrainConfig
 
@@ -34,8 +35,7 @@ DEFAULT_CONFIG = {
     "train": {"learning_rate": 1e-3, "taca_learning_rate": None,
               "batch_size": 32, "steps": 1500, "seed": 0},
     "data": {"n": 2048, "seed": 7},
-    "eval": {"n": 1024, "seed": 99, "k": 1, "head_seeds": [0, 1, 2],
-             "gallery_seed": 1234},
+    "eval": {"k": 1, "head_seeds": [0, 1, 2], "gallery_seed": 1234},
 }
 
 
@@ -96,19 +96,22 @@ def visual_config_from(config: dict, role: str) -> VisualEncoderConfig:
 
 
 def text_config_from(config: dict, role: str) -> TextEncoderConfig:
-    embed_dim = config[f"{role}_encoder"]["embed_dim"]
-    section = config["text_encoder"]
     return TextEncoderConfig(
-        vocab_size=data_mod.VOCAB_SIZE, max_len=section["max_len"],
-        layers=section["layers"], width=section["width"],
-        heads=section["heads"], embed_dim=embed_dim,
-        cls_id=data_mod.CLS_ID, sep_id=data_mod.SEP_ID)
+        vocab_size=data_mod.VOCAB_SIZE, cls_id=data_mod.CLS_ID,
+        sep_id=data_mod.SEP_ID, embed_dim=config[f"{role}_encoder"]["embed_dim"],
+        **config["text_encoder"])
 
 
 def taca_config_from(config: dict) -> TacaConfig:
-    section = dict(config["taca"])
-    section["inserted_layers"] = tuple(section["inserted_layers"] or ())
-    return TacaConfig(**section)
+    return TacaConfig(**config["taca"])
+
+
+def loss_config_from(config: dict) -> CompatLossConfig:
+    section = config["loss"]
+    return CompatLossConfig(
+        distill_weight=section["distill_weight"],
+        contrastive=ContrastiveConfig(temperature=section["temperature"]),
+        symmetric=section["symmetric_contrastive"])
 
 
 def train_config_from(config: dict, steps: int | None = None,
@@ -116,7 +119,6 @@ def train_config_from(config: dict, steps: int | None = None,
     """Build a TrainConfig; with ``taca`` the attachment-specific learning
     rate (``train.taca_learning_rate``) takes precedence when set."""
     section = config["train"]
-    loss = config["loss"]
     lr = section["learning_rate"]
     if taca and section["taca_learning_rate"] is not None:
         lr = section["taca_learning_rate"]
@@ -124,8 +126,5 @@ def train_config_from(config: dict, steps: int | None = None,
         learning_rate=lr,
         batch_size=section["batch_size"],
         steps=section["steps"] if steps is None else steps,
-        seed=section["seed"] if seed is None else seed,
-        distill_weight=loss["distill_weight"],
-        temperature=loss["temperature"],
-        symmetric_contrastive=loss["symmetric_contrastive"])
+        seed=section["seed"] if seed is None else seed)
 

@@ -216,6 +216,14 @@ def read_exact(fh, count: int) -> bytes:
     return fh.read(count)
 
 
+def read_utf8(fh, count: int) -> str:
+    """Read ``count`` bytes of UTF-8 text from a binary artifact."""
+    try:
+        return read_exact(fh, count).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"undecodable text in file: {exc}") from exc
+
+
 def load_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
         magic = read_exact(fh, 4)
@@ -230,13 +238,18 @@ def load_dataset(path) -> Dataset:
             raise FormatError(
                 f"vocab/caption layout mismatch: {vocab}/{cap_len}")
         (digest_len,) = struct.unpack("<I", read_exact(fh, 4))
-        digest = read_exact(fh, digest_len).decode("utf-8")
-        spec = ImageSpec(h, w, c, p)
+        digest = read_utf8(fh, digest_len)
+        try:
+            spec = ImageSpec(h, w, c, p)
+        except ConfigError as exc:
+            raise FormatError(f"corrupt dataset header: {exc}") from exc
         latents = np.frombuffer(read_exact(fh, n * 3), dtype="<u1")
         latents = latents.reshape(n, 3).copy()
         img_count = n * h * w * c
         images = np.frombuffer(read_exact(fh, img_count * 8), dtype="<f8")
         images = images.reshape(n, h, w, c).copy()
+        if not np.isfinite(images).all():
+            raise FormatError("dataset images hold non-finite values")
         captions = np.frombuffer(read_exact(fh, n * cap_len * 4), dtype="<u4")
         captions = captions.reshape(n, cap_len).copy()
         trailing = fh.read(1)

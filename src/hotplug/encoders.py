@@ -53,6 +53,8 @@ class VisualEncoderConfig:
     embed_dim: int
 
     def __post_init__(self):
+        if isinstance(self.image_spec, dict):  # as read back from metadata
+            object.__setattr__(self, "image_spec", ImageSpec(**self.image_spec))
         if self.layers < 1 or self.embed_dim < 1:
             raise ConfigError(f"layers/embed_dim must be >= 1: {self}")
         if self.width % self.heads:

@@ -30,6 +30,7 @@ class ContrastiveConfig:
 class CompatLossConfig:
     distill_weight: float = 2.0
     contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
+    symmetric: bool = False               # both InfoNCE directions
 
     def __post_init__(self):
         if not (np.isfinite(self.distill_weight) and self.distill_weight >= 0):
@@ -93,8 +94,7 @@ def cross_model_contrastive(new_img_feats: Tensor, old_txt_feats: Tensor,
 
 
 def compat_total(new_img_feats: Tensor, old_txt_feats: Tensor,
-                 old_img_feats: Tensor, config: CompatLossConfig,
-                 symmetric_contrastive: bool = False):
+                 old_img_feats: Tensor, config: CompatLossConfig):
     """Combined objective: contrastive + weight * distillation.
 
     Returns (total, components) where components holds the float values of
@@ -102,7 +102,7 @@ def compat_total(new_img_feats: Tensor, old_txt_feats: Tensor,
     """
     contra = cross_model_contrastive(new_img_feats, old_txt_feats,
                                      config.contrastive.temperature,
-                                     symmetric=symmetric_contrastive)
+                                     symmetric=config.symmetric)
     distill = distill_loss(new_img_feats, old_img_feats)
     lam = config.distill_weight
     if lam == 0.0:

@@ -122,13 +122,8 @@ class LoRAModule:
 
 
 def lora_forward(module: LoRAModule, x: Tensor) -> Tensor:
-    """Apply the effective weight to a column vector (W @ x) or row batch (x @ W)."""
-    w = module.effective_weight()
-    if len(x.shape) == 1:
-        col = ad.reshape(x, (x.shape[0], 1))
-        out = ad.matmul(w, col)
-        return ad.reshape(out, (w.shape[0],))
-    return ad.matmul(x, w)
+    """Apply the effective weight to a row batch: x @ (W + (alpha/r) A B)."""
+    return ad.matmul(x, module.effective_weight())
 
 
 @dataclass(frozen=True)
@@ -143,6 +138,9 @@ class TacaConfig:
     activation: str = "relu"
 
     def __post_init__(self):
+        # Config files and checkpoint metadata give a JSON list or null.
+        object.__setattr__(self, "inserted_layers",
+                           tuple(self.inserted_layers or ()))
         if self.variant not in ("adapter", "lora"):
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.adapters_per_block not in (1, 2):

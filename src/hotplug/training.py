@@ -17,10 +17,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Dataset, read_exact
+from .data import Dataset, read_exact, read_utf8
 from .encoders import (
     EncoderWeights,
-    ImageSpec,
     TextEncoderConfig,
     VisualEncoderConfig,
     encode_image,
@@ -41,13 +40,6 @@ class TrainConfig:
     batch_size: int = 32
     steps: int = 1500
     seed: int = 0
-    distill_weight: float = 2.0
-    temperature: float = 0.07
-    symmetric_contrastive: bool = False
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -123,6 +115,9 @@ def save_checkpoint(checkpoint: Checkpoint, path):
     names = list(checkpoint.tensors)
     if len(set(names)) != len(names):
         raise ContractError("duplicate tensor names in checkpoint")
+    for name in names:
+        if not np.isfinite(checkpoint.tensors[name]).all():
+            raise ContractError(f"refusing to save non-finite tensor {name!r}")
     meta_blob = json.dumps(checkpoint.meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -150,20 +145,24 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(f"unsupported checkpoint version {version}")
         (meta_len,) = struct.unpack("<I", read_exact(fh, 4))
         try:
-            meta = json.loads(read_exact(fh, meta_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            meta = json.loads(read_utf8(fh, meta_len))
+        except json.JSONDecodeError as exc:
             raise FormatError(f"corrupt checkpoint metadata: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise FormatError("checkpoint metadata is not a JSON object")
         (count,) = struct.unpack("<I", read_exact(fh, 4))
         tensors = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", read_exact(fh, 4))
-            name = read_exact(fh, name_len).decode("utf-8")
+            name = read_utf8(fh, name_len)
             (rank,) = struct.unpack("<I", read_exact(fh, 4))
             shape = struct.unpack(f"<{rank}I", read_exact(fh, 4 * rank))
             size = math.prod(shape)
             arr = np.frombuffer(read_exact(fh, size * 8), dtype="<f8")
             if name in tensors:
                 raise FormatError(f"duplicate tensor name {name!r}")
+            if not np.isfinite(arr).all():
+                raise FormatError(f"tensor {name!r} holds non-finite values")
             tensors[name] = arr.reshape(shape).copy()
         trailing = fh.read(1)
         if trailing:
@@ -171,35 +170,27 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(meta, tensors)
 
 
-def _visual_config_meta(cfg: VisualEncoderConfig) -> dict:
-    spec = cfg.image_spec
-    return {"image_spec": dataclasses.asdict(spec), "layers": cfg.layers,
-            "width": cfg.width, "heads": cfg.heads, "embed_dim": cfg.embed_dim}
-
-
-def _visual_config_from_meta(meta: dict) -> VisualEncoderConfig:
-    return VisualEncoderConfig(image_spec=ImageSpec(**meta["image_spec"]),
-                               layers=meta["layers"], width=meta["width"],
-                               heads=meta["heads"], embed_dim=meta["embed_dim"])
-
-
 def pack_encoder(weights: EncoderWeights, prefix: str) -> dict[str, np.ndarray]:
     return {f"{prefix}/{name}": t.values.copy()
             for name, t in weights.params.items()}
+
+
+def _restore(tensor: Tensor, checkpoint: Checkpoint, key: str):
+    """Copy the checkpoint's tensor ``key`` into ``tensor`` (same shape)."""
+    if key not in checkpoint.tensors:
+        raise FormatError(f"checkpoint missing tensor {key!r}")
+    stored = checkpoint.tensors[key]
+    if stored.shape != tensor.values.shape:
+        raise FormatError(
+            f"tensor {key!r} shape {stored.shape} != expected {tensor.values.shape}")
+    tensor.values = stored.copy()
 
 
 def unpack_encoder(checkpoint: Checkpoint, prefix: str, config) -> EncoderWeights:
     """Rebuild encoder weights from checkpoint tensors (non-trainable)."""
     weights = init_encoder(config, seed=0)
     for name, tensor in weights.params.items():
-        key = f"{prefix}/{name}"
-        if key not in checkpoint.tensors:
-            raise FormatError(f"checkpoint missing tensor {key!r}")
-        stored = checkpoint.tensors[key]
-        if stored.shape != tensor.values.shape:
-            raise FormatError(
-                f"tensor {key!r} shape {stored.shape} != expected {tensor.values.shape}")
-        tensor.values = stored.copy()
+        _restore(tensor, checkpoint, f"{prefix}/{name}")
         tensor.trainable = False
     return weights
 
@@ -209,7 +200,7 @@ def clip_encoders_from_checkpoint(checkpoint: Checkpoint):
     if checkpoint.meta.get("kind") != "clip":
         raise FormatError(
             f"expected a CLIP checkpoint, got kind={checkpoint.meta.get('kind')!r}")
-    vcfg = _visual_config_from_meta(checkpoint.meta["visual_config"])
+    vcfg = VisualEncoderConfig(**checkpoint.meta["visual_config"])
     tcfg = TextEncoderConfig(**checkpoint.meta["text_config"])
     visual = unpack_encoder(checkpoint, "visual", vcfg)
     text = unpack_encoder(checkpoint, "text", tcfg)
@@ -220,8 +211,18 @@ def clip_encoders_from_checkpoint(checkpoint: Checkpoint):
 # Training loops
 # ---------------------------------------------------------------------------
 
+def _check_loss(loss: Tensor, step: int, train_cfg: TrainConfig):
+    """Stop a diverged run at the step where its loss stops being finite."""
+    if not math.isfinite(loss.item()):
+        raise ConfigError(
+            f"training diverged: loss is {loss.item()} at step {step} with "
+            f"learning rate {train_cfg.learning_rate:g}; lower train.learning_rate "
+            f"(or, for train-taca, train.taca_learning_rate when set)")
+
+
 def pretrain_clip(visual_cfg: VisualEncoderConfig, text_cfg: TextEncoderConfig,
                   dataset: Dataset, train_cfg: TrainConfig,
+                  contrastive: ContrastiveConfig = ContrastiveConfig(),
                   config_digest: str = "") -> Checkpoint:
     """Jointly train both encoders with the symmetric contrastive loss."""
     if len(dataset) == 0:
@@ -235,17 +236,16 @@ def pretrain_clip(visual_cfg: VisualEncoderConfig, text_cfg: TextEncoderConfig,
     visual.set_trainable(True)
     text.set_trainable(True)
     params = list(visual.tensors()) + list(text.tensors())
-    opt = AdamW(params, lr=train_cfg.learning_rate, beta1=train_cfg.beta1,
-                beta2=train_cfg.beta2, eps=train_cfg.eps,
-                weight_decay=train_cfg.weight_decay)
+    opt = AdamW(params, lr=train_cfg.learning_rate)
     last_loss = None
-    for batch in batch_indices(len(dataset), train_cfg.batch_size,
-                               train_cfg.steps, train_cfg.seed):
+    for step, batch in enumerate(batch_indices(
+            len(dataset), train_cfg.batch_size, train_cfg.steps, train_cfg.seed)):
         with ad.new_tape():
             img_feats = encode_image(visual, dataset.images[batch])
             txt_feats = encode_text(text, dataset.captions[batch])
             loss = clip_symmetric_loss(img_feats, txt_feats,
-                                       train_cfg.temperature)
+                                       contrastive.temperature)
+            _check_loss(loss, step, train_cfg)
             opt.zero_grad()
             ad.backward(loss)
             opt.step()
@@ -254,9 +254,9 @@ def pretrain_clip(visual_cfg: VisualEncoderConfig, text_cfg: TextEncoderConfig,
     text.set_trainable(False)
     meta = {
         "kind": "clip",
-        "visual_config": _visual_config_meta(visual_cfg),
+        "visual_config": dataclasses.asdict(visual_cfg),
         "text_config": dataclasses.asdict(text_cfg),
-        "temperature": train_cfg.temperature,
+        "temperature": contrastive.temperature,
         "steps": train_cfg.steps,
         "seed": train_cfg.seed,
         "final_loss": last_loss,
@@ -268,8 +268,12 @@ def pretrain_clip(visual_cfg: VisualEncoderConfig, text_cfg: TextEncoderConfig,
 
 def train_taca(old_ckpt: Checkpoint, new_ckpt: Checkpoint, taca_cfg: TacaConfig,
                dataset: Dataset, train_cfg: TrainConfig,
+               loss_cfg: CompatLossConfig = CompatLossConfig(),
                config_digest: str = ""):
     """Compatibility training: only the attachment learns.
+
+    The contrastive term is scored at the old checkpoint's temperature, in
+    place of ``loss_cfg.contrastive``.
 
     Returns (attachment checkpoint, loss log) where the log holds one
     (step, total, contrastive, distillation) row per step. Backbone tensors
@@ -281,20 +285,14 @@ def train_taca(old_ckpt: Checkpoint, new_ckpt: Checkpoint, taca_cfg: TacaConfig,
     d_new = new_visual.config.embed_dim
     attachment, adapted = attach_taca(new_visual, taca_cfg, d_old,
                                       seed=train_cfg.seed)
-    if attachment.projector.dim_old != d_old:
-        raise ConfigError(
-            f"projector output dim {attachment.projector.dim_old} != old embed dim {d_old}")
-    loss_cfg = CompatLossConfig(
-        distill_weight=train_cfg.distill_weight,
-        contrastive=ContrastiveConfig(temperature=tau))
+    loss_cfg = dataclasses.replace(
+        loss_cfg, contrastive=ContrastiveConfig(temperature=tau))
     backbone_snapshot = {
         "old_visual": old_visual.clone_values(),
         "old_text": old_text.clone_values(),
         "new_visual": new_visual.clone_values(),
     }
-    opt = AdamW(attachment.trainable_tensors(), lr=train_cfg.learning_rate,
-                beta1=train_cfg.beta1, beta2=train_cfg.beta2, eps=train_cfg.eps,
-                weight_decay=train_cfg.weight_decay)
+    opt = AdamW(attachment.trainable_tensors(), lr=train_cfg.learning_rate)
     # Old encoders are frozen, so their per-sample features are constants;
     # compute them once instead of once per epoch.
     with ad.no_grad():
@@ -305,31 +303,28 @@ def train_taca(old_ckpt: Checkpoint, new_ckpt: Checkpoint, taca_cfg: TacaConfig,
             encode_text(old_text, dataset.captions[s:s + 64]).values
             for s in range(0, len(dataset), 64)])
     log = []
-    step = 0
-    for batch in batch_indices(len(dataset), train_cfg.batch_size,
-                               train_cfg.steps, train_cfg.seed):
+    for step, batch in enumerate(batch_indices(
+            len(dataset), train_cfg.batch_size, train_cfg.steps, train_cfg.seed)):
         with ad.new_tape():
             old_img = Tensor(old_img_all[batch])
             old_txt = Tensor(old_txt_all[batch])
             new_img = adapted.encode(dataset.images[batch])
-            total, comps = compat_total(
-                new_img, old_txt, old_img, loss_cfg,
-                symmetric_contrastive=train_cfg.symmetric_contrastive)
+            total, comps = compat_total(new_img, old_txt, old_img, loss_cfg)
+            _check_loss(total, step, train_cfg)
             opt.zero_grad()
             ad.backward(total)
             opt.step()
         log.append((step, total.item(), comps["contrastive"],
                     comps["distillation"]))
-        step += 1
     _audit_frozen(backbone_snapshot, old_visual, old_text, new_visual)
     meta = {
         "kind": "taca_attachment",
         "taca_config": dataclasses.asdict(taca_cfg),
-        "new_visual_config": _visual_config_meta(new_visual.config),
+        "new_visual_config": dataclasses.asdict(new_visual.config),
         "dim_old": d_old,
         "dim_new": d_new,
         "temperature": tau,
-        "distill_weight": train_cfg.distill_weight,
+        "distill_weight": loss_cfg.distill_weight,
         "steps": train_cfg.steps,
         "seed": train_cfg.seed,
         "old_checkpoint_digest": old_ckpt.meta.get("config_digest", ""),
@@ -365,20 +360,12 @@ def attachment_from_checkpoint(taca_ckpt: Checkpoint,
         raise FormatError(
             f"expected an attachment checkpoint, got kind={taca_ckpt.meta.get('kind')!r}")
     if new_visual is None:
-        vcfg = _visual_config_from_meta(taca_ckpt.meta["new_visual_config"])
+        vcfg = VisualEncoderConfig(**taca_ckpt.meta["new_visual_config"])
         new_visual = unpack_encoder(taca_ckpt, "backbone", vcfg)
-    raw = dict(taca_ckpt.meta["taca_config"])
-    raw["inserted_layers"] = tuple(raw.get("inserted_layers") or ())
-    cfg = TacaConfig(**raw)
+    cfg = TacaConfig(**taca_ckpt.meta["taca_config"])
     attachment, adapted = attach_taca(new_visual, cfg,
                                       int(taca_ckpt.meta["dim_old"]),
                                       seed=int(taca_ckpt.meta["seed"]))
     for name, tensor in attachment.named_tensors().items():
-        if name not in taca_ckpt.tensors:
-            raise FormatError(f"attachment checkpoint missing tensor {name!r}")
-        stored = taca_ckpt.tensors[name]
-        if stored.shape != tensor.values.shape:
-            raise FormatError(
-                f"tensor {name!r} shape {stored.shape} != expected {tensor.values.shape}")
-        tensor.values = stored.copy()
+        _restore(tensor, taca_ckpt, name)
     return attachment, adapted

@@ -44,12 +44,10 @@ def pipeline(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
     data_path = str(root / "train.tacd")
     eval_path = str(root / "eval.tacd")
-    eval_cfg = cm.resolve_config()["eval"]
     t_start = time.monotonic()
     assert main(["gen-data", "--out", data_path, "--n", "2048",
                  "--config", _cfg(root, "data", {})]) == EXIT_OK
-    assert main(["gen-data", "--out", eval_path, "--n", str(eval_cfg["n"]),
-                 "--seed", str(eval_cfg["seed"]),
+    assert main(["gen-data", "--out", eval_path, "--n", "1024", "--seed", "99",
                  "--config", _cfg(root, "evaldata", {})]) == EXIT_OK
     runs = {}
     t_ablation = 0.0

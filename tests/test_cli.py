@@ -78,10 +78,11 @@ class TestGenData:
 
     def test_unknown_config_key(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"surprise": 1}))
-        code = main(["gen-data", "--out", str(tmp_path / "x"),
-                     "--config", str(bad)])
-        assert code == EXIT_USAGE
+        for overrides in ({"surprise": 1}, {"eval": {"n": 1024}}):
+            bad.write_text(json.dumps(overrides))
+            code = main(["gen-data", "--out", str(tmp_path / "x"),
+                         "--config", str(bad)])
+            assert code == EXIT_USAGE, overrides
 
 
 class TestPretrain:
@@ -146,6 +147,80 @@ class TestOversizedHeaders:
         assert "truncated" in capsys.readouterr().err
 
 
+def _patched(src, dst, offset, payload):
+    """Copy ``src`` to ``dst`` with ``payload`` written at ``offset``."""
+    with open(src, "rb") as fh:
+        blob = bytearray(fh.read())
+    blob[offset:offset + len(payload)] = payload
+    dst.write_bytes(bytes(blob))
+    return str(dst)
+
+
+def _meta_len(checkpoint_path):
+    with open(checkpoint_path, "rb") as fh:
+        return struct.unpack("<I", fh.read(12)[8:])[0]
+
+
+class TestCorruptArtifacts:
+    """Corrupt or non-finite artifacts exit 4 and a diverged run exits 2,
+    each with a message that names the cause."""
+
+    def _pretrain(self, workspace, data, tmp_path):
+        return main(["pretrain", "--role", "old", "--data", data,
+                     "--out", str(tmp_path / "o"), "--config", workspace["cfg"]])
+
+    def _eval(self, workspace, old):
+        return main(["eval-compat", "--old", old, "--taca", workspace["taca"],
+                     "--data", workspace["eval"], "--task", "retrieval",
+                     "--config", workspace["cfg"]])
+
+    def test_undecodable_dataset_digest(self, workspace, tmp_path, capsys):
+        # The digest text starts right after the 48-byte fixed header.
+        data = _patched(workspace["data"], tmp_path / "d.tacd", 48, b"\xff")
+        assert self._pretrain(workspace, data, tmp_path) == EXIT_IO
+        assert "undecodable" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_impossible_image_width(self, workspace, tmp_path, capsys):
+        data = _patched(workspace["data"], tmp_path / "w.tacd", 16,
+                        struct.pack("<I", 3))
+        assert self._pretrain(workspace, data, tmp_path) == EXIT_IO
+        assert "corrupt dataset header" in capsys.readouterr().err
+
+    def test_undecodable_tensor_name(self, workspace, tmp_path, capsys):
+        offset = 12 + _meta_len(workspace["old"]) + 8  # first name byte
+        old = _patched(workspace["old"], tmp_path / "n.tack", offset, b"\xff")
+        assert self._eval(workspace, old) == EXIT_IO
+        assert "undecodable" in capsys.readouterr().err
+
+    def test_non_finite_tensor_named(self, workspace, tmp_path, capsys):
+        name, first = next(iter(load_checkpoint(workspace["old"]).tensors.items()))
+        # metadata, count, name length, name, rank, shape, then the values
+        offset = (12 + _meta_len(workspace["old"]) + 8 + len(name) + 4
+                  + 4 * first.ndim)
+        old = _patched(workspace["old"], tmp_path / "nan.tack", offset,
+                       struct.pack("<d", float("nan")))
+        assert self._eval(workspace, old) == EXIT_IO
+        err = capsys.readouterr().err
+        assert repr(name) in err and "non-finite" in err
+
+    def test_divergent_pretrain_stops_at_its_step(self, workspace, tmp_path,
+                                                  capsys):
+        cfg = json.loads(json.dumps(FAST_CONFIG))
+        cfg["train"]["learning_rate"] = 1e6
+        cfg["old_encoder"]["pretrain_steps"] = 40  # the loss turns NaN at step 19
+        cfg_path = tmp_path / "diverge.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o.tack"
+        code = main(["pretrain", "--role", "old", "--data", workspace["data"],
+                     "--out", str(out), "--config", str(cfg_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "diverged" in err and "at step " in err
+        assert "train.learning_rate" in err
+        assert not out.exists()
+
+
 class TestTrainTaca:
     def test_loss_csv_recomposes(self, workspace):
         rows = list(csv.DictReader(open(workspace["root"] / "loss.csv")))
@@ -160,6 +235,22 @@ class TestTrainTaca:
         taca = load_checkpoint(workspace["taca"])
         assert taca.meta["kind"] == "taca_attachment"
         assert taca.meta["dim_old"] == 8
+
+    def test_symmetric_contrastive_from_config(self, workspace, tmp_path):
+        cfg = json.loads(json.dumps(FAST_CONFIG))
+        cfg["loss"] = {"symmetric_contrastive": True}
+        cfg_path = tmp_path / "sym.json"
+        cfg_path.write_text(json.dumps(cfg))
+        log = tmp_path / "sym.csv"
+        assert main(["train-taca", "--old", workspace["old"],
+                     "--new", workspace["new"], "--data", workspace["data"],
+                     "--out", str(tmp_path / "t"), "--log", str(log),
+                     "--config", str(cfg_path)]) == EXIT_OK
+        one_way = list(csv.reader(
+            (workspace["root"] / "loss.csv").read_text().splitlines()))
+        both_ways = list(csv.reader(log.read_text().splitlines()))
+        assert one_way[1][0] == both_ways[1][0] == "0"
+        assert one_way[1][2] != both_ways[1][2]  # contrastive term
 
     def test_swapped_checkpoints_is_usage_error(self, workspace, tmp_path):
         code = main(["train-taca", "--old", workspace["data"],

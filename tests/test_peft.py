@@ -134,8 +134,8 @@ class TestLoRA:
                             rng=np.random.default_rng(0))
         module.a.values = np.array([[1.0], [0.0]])
         module.b.values = np.array([[0.0, 2.0]])
-        out = lora_forward(module, Tensor([1.0, 1.0]))
-        assert np.array_equal(out.values, [2.0, 0.0])
+        out = lora_forward(module, Tensor([[1.0, 1.0]]))
+        assert np.array_equal(out.values, [[0.0, 2.0]])
 
     def test_gradient_check(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from hotplug.encoders import (
     init_encoder,
 )
 from hotplug.errors import ConfigError, ContractError, FormatError
+from hotplug.losses import CompatLossConfig, ContrastiveConfig
 from hotplug.peft import TacaConfig
 from hotplug.training import (
     AdamW,
@@ -154,6 +158,21 @@ class TestCheckpointFile:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    def test_non_finite_tensor_refused(self, tmp_path):
+        path = tmp_path / "c"
+        with pytest.raises(ContractError, match="'w'"):
+            save_checkpoint(Checkpoint({}, {"w": np.array([1.0, np.inf])}), path)
+        assert not path.exists()
+
+    def test_config_metadata_round_trips(self):
+        taca = TacaConfig(variant="lora", inserted_layers=(2, 1))
+        for cfg in (NEW_VCFG, NEW_TCFG, taca):
+            meta = json.loads(json.dumps(dataclasses.asdict(cfg)))
+            assert type(cfg)(**meta) == cfg
+        assert json.loads(json.dumps(dataclasses.asdict(taca)))[
+            "inserted_layers"] == [2, 1]
+        assert TacaConfig(inserted_layers=None) == TacaConfig()
+
     def test_trailing_bytes(self, tmp_path):
         ckpt = Checkpoint({"kind": "demo"}, {"a": np.arange(4.0)})
         path = tmp_path / "c"
@@ -190,7 +209,7 @@ class TestPretrainClip:
         path = tmp_path / "old.tack"
         save_checkpoint(old, path)
         visual, text, tau = clip_encoders_from_checkpoint(load_checkpoint(path))
-        assert tau == FAST.temperature
+        assert tau == ContrastiveConfig().temperature
         assert visual.config == OLD_VCFG
         for name, t in visual.params.items():
             assert np.array_equal(t.values, old.tensors[f"visual/{name}"])
@@ -212,8 +231,8 @@ class TestTrainTaca:
         ds, old, new = small_clip_pair()
         lam = 2.0
         _, log = train_taca(old, new, TacaConfig(bottleneck=4), ds,
-                            TrainConfig(steps=5, batch_size=4, seed=0,
-                                        distill_weight=lam))
+                            TrainConfig(steps=5, batch_size=4, seed=0),
+                            CompatLossConfig(distill_weight=lam))
         assert len(log) == 5
         for step, total, contra, distill in log:
             assert abs(total - (contra + lam * distill)) < 1e-12
@@ -221,8 +240,8 @@ class TestTrainTaca:
     def test_lambda_zero_logs_but_excludes_distill(self):
         ds, old, new = small_clip_pair()
         _, log = train_taca(old, new, TacaConfig(bottleneck=4), ds,
-                            TrainConfig(steps=3, batch_size=4, seed=0,
-                                        distill_weight=0.0))
+                            TrainConfig(steps=3, batch_size=4, seed=0),
+                            CompatLossConfig(distill_weight=0.0))
         for step, total, contra, distill in log:
             assert total == contra
             assert distill > 0.0
