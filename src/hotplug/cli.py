@@ -14,7 +14,7 @@ import sys
 from . import config as cfg_mod
 from . import verify
 from .data import generate_dataset, load_dataset, save_dataset
-from .errors import ConfigError, FormatError, HotplugError, ParameterError
+from .errors import ConfigError, FormatError, HotplugError
 from .evaluation import hot_plug_report
 from .training import load_checkpoint, pretrain_clip, save_checkpoint, train_taca
 
@@ -204,9 +204,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -8,6 +8,7 @@ round-trips bitwise.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -135,17 +136,15 @@ def latent_from_caption(caption) -> LatentFactor:
     return LatentFactor(shape, color, position)
 
 
+@dataclass(eq=False)
 class Dataset:
     """In-memory paired dataset with a bit-exact binary file format."""
-
-    def __init__(self, spec: ImageSpec, images: np.ndarray, captions: np.ndarray,
-                 latents: np.ndarray, seed: int, config_digest: str = ""):
-        self.spec = spec
-        self.images = images        # (n, H, W, C) float64 in [0, 1]
-        self.captions = captions    # (n, CAPTION_LEN) uint32
-        self.latents = latents      # (n, 3) uint8
-        self.seed = seed
-        self.config_digest = config_digest
+    spec: ImageSpec
+    images: np.ndarray      # (n, H, W, C) float64 in [0, 1]
+    captions: np.ndarray    # (n, CAPTION_LEN) uint32
+    latents: np.ndarray     # (n, 3) uint8
+    seed: int
+    config_digest: str = ""
 
     def __len__(self):
         return self.images.shape[0]
@@ -190,69 +189,93 @@ def generate_dataset(n: int, seed: int, spec: ImageSpec,
     return Dataset(spec, images, captions, latents, seed, config_digest)
 
 
+def write_header(fh, magic: bytes, version: int):
+    fh.write(magic + struct.pack("<I", version))
+
+
+def write_text(fh, text: str):
+    blob = text.encode("utf-8")
+    fh.write(struct.pack("<I", len(blob)) + blob)
+
+
+class Frame:
+    """Reader of the framing both binary artifacts share: a magic, a u32
+    version, sized payloads, length-prefixed UTF-8 and no trailing bytes. A
+    size beyond the bytes left in the file raises before anything is read."""
+
+    def __init__(self, fh, magic: bytes, version: int, kind: str):
+        self.fh, self.kind = fh, kind
+        self.size = os.fstat(fh.fileno()).st_size
+        got = self.read(4)
+        if got != magic:
+            raise FormatError(f"bad {kind} magic {got!r}")
+        (got,) = self.unpack("<I")
+        if got != version:
+            raise FormatError(f"unsupported {kind} version {got}")
+
+    def read(self, count: int) -> bytes:
+        left = self.size - self.fh.tell()
+        if count > left:
+            raise TruncatedFileError(
+                f"truncated file: expected {count} bytes, {left} left")
+        return self.fh.read(count)
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+    def text(self) -> str:
+        (count,) = self.unpack("<I")
+        try:
+            return self.read(count).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"undecodable text in file: {exc}") from exc
+
+    def array(self, dtype: str, shape, what: str, limit=None) -> np.ndarray:
+        """Floats must be finite; integers must lie below ``limit``, if given."""
+        dtype = np.dtype(dtype)
+        values = np.frombuffer(self.read(math.prod(shape) * dtype.itemsize),
+                               dtype).reshape(shape)
+        if dtype.kind == "f" and not np.isfinite(values).all():
+            raise FormatError(f"non-finite values in {what}")
+        if limit is not None and (values >= limit).any():
+            raise FormatError(f"{what} out of range: each must be below {limit}")
+        return values.copy()
+
+    def end(self):
+        if self.fh.read(1):
+            raise FormatError(f"trailing bytes after {self.kind} payload")
+
+
 def save_dataset(dataset: Dataset, path):
     spec = dataset.spec
-    digest = dataset.config_digest.encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<I", DATASET_VERSION))
+        write_header(fh, DATASET_MAGIC, DATASET_VERSION)
         fh.write(struct.pack("<IIIII", len(dataset), spec.height, spec.width,
                              spec.channels, spec.patch))
         fh.write(struct.pack("<IIq", VOCAB_SIZE, CAPTION_LEN, dataset.seed))
-        fh.write(struct.pack("<I", len(digest)))
-        fh.write(digest)
+        write_text(fh, dataset.config_digest)
         fh.write(dataset.latents.astype("<u1").tobytes())
         fh.write(dataset.images.astype("<f8").tobytes())
         fh.write(dataset.captions.astype("<u4").tobytes())
 
 
-def read_exact(fh, count: int) -> bytes:
-    """Read ``count`` bytes of a binary artifact; a declared size beyond the
-    bytes left in the file raises before anything is allocated."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if count > left:
-        raise TruncatedFileError(
-            f"truncated file: expected {count} bytes, {left} left")
-    return fh.read(count)
-
-
-def read_utf8(fh, count: int) -> str:
-    """Read ``count`` bytes of UTF-8 text from a binary artifact."""
-    try:
-        return read_exact(fh, count).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"undecodable text in file: {exc}") from exc
-
-
 def load_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
-        magic = read_exact(fh, 4)
-        if magic != DATASET_MAGIC:
-            raise FormatError(f"bad dataset magic {magic!r}")
-        (version,) = struct.unpack("<I", read_exact(fh, 4))
-        if version != DATASET_VERSION:
-            raise FormatError(f"unsupported dataset version {version}")
-        n, h, w, c, p = struct.unpack("<IIIII", read_exact(fh, 20))
-        vocab, cap_len, seed = struct.unpack("<IIq", read_exact(fh, 16))
+        frame = Frame(fh, DATASET_MAGIC, DATASET_VERSION, "dataset")
+        n, h, w, c, p = frame.unpack("<IIIII")
+        vocab, cap_len, seed = frame.unpack("<IIq")
         if vocab != VOCAB_SIZE or cap_len != CAPTION_LEN:
             raise FormatError(
                 f"vocab/caption layout mismatch: {vocab}/{cap_len}")
-        (digest_len,) = struct.unpack("<I", read_exact(fh, 4))
-        digest = read_utf8(fh, digest_len)
+        digest = frame.text()
         try:
             spec = ImageSpec(h, w, c, p)
         except ConfigError as exc:
             raise FormatError(f"corrupt dataset header: {exc}") from exc
-        latents = np.frombuffer(read_exact(fh, n * 3), dtype="<u1")
-        latents = latents.reshape(n, 3).copy()
-        img_count = n * h * w * c
-        images = np.frombuffer(read_exact(fh, img_count * 8), dtype="<f8")
-        images = images.reshape(n, h, w, c).copy()
-        if not np.isfinite(images).all():
-            raise FormatError("dataset images hold non-finite values")
-        captions = np.frombuffer(read_exact(fh, n * cap_len * 4), dtype="<u4")
-        captions = captions.reshape(n, cap_len).copy()
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError("trailing bytes after dataset payload")
+        latents = frame.array("<u1", (n, 3), "dataset latent ids",
+                              limit=(NUM_SHAPES, NUM_COLORS, NUM_POSITIONS))
+        images = frame.array("<f8", (n, h, w, c), "dataset images")
+        captions = frame.array("<u4", (n, cap_len), "dataset caption token ids",
+                               limit=VOCAB_SIZE)
+        frame.end()
     return Dataset(spec, images, captions, latents, int(seed), digest)

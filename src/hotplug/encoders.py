@@ -19,6 +19,7 @@ from .errors import ConfigError, DimensionError, ParameterError
 
 FFN_EXPANSION = 4
 INIT_STD = 0.02
+ENCODE_CHUNK = 64  # features depend bitwise on the chunking, so all share it
 
 
 @dataclass(frozen=True)
@@ -286,6 +287,15 @@ def encode_image(weights: EncoderWeights, images, attachment=None,
     if return_blocks:
         return emb, collect
     return emb
+
+
+def encode_chunked(encode, inputs) -> np.ndarray:
+    """``encode``'s Tensor or array values, ENCODE_CHUNK rows at a time, under no_grad."""
+    with ad.no_grad():
+        chunks = [encode(inputs[start:start + ENCODE_CHUNK])
+                  for start in range(0, inputs.shape[0], ENCODE_CHUNK)]
+    return np.concatenate([c.values if isinstance(c, Tensor) else c
+                           for c in chunks], axis=0)
 
 
 def encode_text(weights: EncoderWeights, tokens) -> Tensor:

@@ -26,7 +26,7 @@ class ConfigError(HotplugError):
 
 
 class FormatError(HotplugError):
-    """A binary artifact has a bad magic number or unsupported version."""
+    """A binary artifact is malformed, or its contents do not fit their configs."""
 
 
 class TruncatedFileError(FormatError):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .data import (
     CAPTION_LEN,
     NUM_FACTORS,
@@ -24,7 +23,7 @@ from .data import (
     LatentFactor,
     render_caption,
 )
-from .encoders import encode_image, encode_text
+from .encoders import encode_chunked, encode_image, encode_text
 from .errors import ConfigError, ContractError, ParameterError
 from .training import (
     AdamW,
@@ -138,15 +137,6 @@ def make_report(task, metric, m_old_old, m_old_new, m_new_new, seeds,
         per_seed=per_seed)
 
 
-def _batched_values(encode, inputs, batch: int = 64) -> np.ndarray:
-    chunks = []
-    with ad.no_grad():
-        for start in range(0, inputs.shape[0], batch):
-            out = encode(inputs[start:start + batch])
-            chunks.append(out.values if isinstance(out, Tensor) else out)
-    return np.concatenate(chunks, axis=0)
-
-
 def canonical_caption_gallery(text_weights, gallery_seed: int = 1234) -> np.ndarray:
     """Text features for one caption per latent factor (gallery index ==
     factor index)."""
@@ -155,7 +145,7 @@ def canonical_caption_gallery(text_weights, gallery_seed: int = 1234) -> np.ndar
         for i in range(NUM_FACTORS)
     ])
     assert captions.shape == (NUM_FACTORS, CAPTION_LEN)
-    return _batched_values(lambda c: encode_text(text_weights, c), captions)
+    return encode_chunked(lambda c: encode_text(text_weights, c), captions)
 
 
 def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
@@ -195,10 +185,10 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
 
     images = eval_dataset.images
     labels = eval_dataset.factor_indices()
-    old_feats = _batched_values(lambda x: encode_image(old_visual, x), images)
-    adapted_feats = _batched_values(adapted_extractor, images)
+    old_feats = encode_chunked(lambda x: encode_image(old_visual, x), images)
+    adapted_feats = encode_chunked(adapted_extractor, images)
     new_feats = (None if new_ckpt is None else
-                 _batched_values(lambda x: encode_image(new_visual, x), images))
+                 encode_chunked(lambda x: encode_image(new_visual, x), images))
 
     if task == "retrieval":
         gallery_old = canonical_caption_gallery(old_text, gallery_seed)
@@ -252,6 +242,6 @@ def raw_swap_baseline(old_ckpt: Checkpoint, new_ckpt: Checkpoint,
         norms = np.linalg.norm(proj, axis=-1, keepdims=True)
         return proj / np.maximum(norms, 1e-12)
 
-    feats = _batched_values(extract, eval_dataset.images)
+    feats = encode_chunked(extract, eval_dataset.images)
     gallery = canonical_caption_gallery(old_text)
     return recall_at_k(feats, gallery, eval_dataset.factor_indices(), k)

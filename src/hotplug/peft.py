@@ -169,13 +169,7 @@ class TacaAttachment:
         self.projector = projector
 
     def trainable_tensors(self) -> list[Tensor]:
-        out = []
-        for key in sorted(self.adapters):
-            out.extend(self.adapters[key].tensors())
-        for key in sorted(self.loras):
-            out.extend(self.loras[key].tensors())
-        out.extend(self.projector.tensors())
-        return out
+        return list(self.named_tensors().values())
 
     def named_tensors(self) -> dict[str, Tensor]:
         out = {}

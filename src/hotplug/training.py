@@ -17,21 +17,26 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Dataset, read_exact, read_utf8
+from .data import Dataset, Frame, write_header, write_text
 from .encoders import (
     EncoderWeights,
     TextEncoderConfig,
     VisualEncoderConfig,
+    encode_chunked,
     encode_image,
     encode_text,
     init_encoder,
 )
-from .errors import ConfigError, ContractError, FormatError
+from .errors import ConfigError, ContractError, FormatError, ParameterError
 from .losses import CompatLossConfig, ContrastiveConfig, clip_symmetric_loss, compat_total
 from .peft import TacaConfig, attach_taca
 
 CHECKPOINT_MAGIC = b"TACK"
 CHECKPOINT_VERSION = 1
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -51,13 +56,9 @@ class TrainConfig:
 class AdamW:
     """Decoupled weight decay Adam over an explicit list of trainable tensors."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+    def __init__(self, params, lr: float, weight_decay: float = 0.01):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = [np.zeros_like(p.values) for p in self.params]
@@ -70,17 +71,17 @@ class AdamW:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise ContractError("AdamW.step: parameter has no gradient")
             g = p.grad
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
+            self._m[i] = ADAM_BETA1 * self._m[i] + (1.0 - ADAM_BETA1) * g
+            self._v[i] = ADAM_BETA2 * self._v[i] + (1.0 - ADAM_BETA2) * g * g
             m_hat = self._m[i] / bc1
             v_hat = self._v[i] / bc2
-            p.values = p.values - self.lr * (m_hat / (np.sqrt(v_hat) + self.eps)
+            p.values = p.values - self.lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                                              + self.weight_decay * p.values)
 
 
@@ -103,70 +104,48 @@ def batch_indices(n: int, batch_size: int, steps: int, seed: int):
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+@dataclass(eq=False)
 class Checkpoint:
     """JSON metadata plus a named map of float64 arrays."""
-
-    def __init__(self, meta: dict, tensors: dict[str, np.ndarray]):
-        self.meta = meta
-        self.tensors = tensors
+    meta: dict
+    tensors: dict[str, np.ndarray]
 
 
 def save_checkpoint(checkpoint: Checkpoint, path):
-    names = list(checkpoint.tensors)
-    if len(set(names)) != len(names):
-        raise ContractError("duplicate tensor names in checkpoint")
-    for name in names:
-        if not np.isfinite(checkpoint.tensors[name]).all():
+    for name, values in checkpoint.tensors.items():
+        if not np.isfinite(values).all():
             raise ContractError(f"refusing to save non-finite tensor {name!r}")
-    meta_blob = json.dumps(checkpoint.meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(meta_blob)))
-        fh.write(meta_blob)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            arr = np.asarray(checkpoint.tensors[name], dtype=np.float64)
-            blob = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
+        write_header(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        write_text(fh, json.dumps(checkpoint.meta, sort_keys=True))
+        fh.write(struct.pack("<I", len(checkpoint.tensors)))
+        for name, values in checkpoint.tensors.items():
+            arr = np.asarray(values, dtype="<f8")
+            write_text(fh, name)
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f8").tobytes())
+            fh.write(arr.tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        magic = read_exact(fh, 4)
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", read_exact(fh, 4))
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<I", read_exact(fh, 4))
+        frame = Frame(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
         try:
-            meta = json.loads(read_utf8(fh, meta_len))
+            meta = json.loads(frame.text())
         except json.JSONDecodeError as exc:
             raise FormatError(f"corrupt checkpoint metadata: {exc}") from exc
         if not isinstance(meta, dict):
             raise FormatError("checkpoint metadata is not a JSON object")
-        (count,) = struct.unpack("<I", read_exact(fh, 4))
+        (count,) = frame.unpack("<I")
         tensors = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", read_exact(fh, 4))
-            name = read_utf8(fh, name_len)
-            (rank,) = struct.unpack("<I", read_exact(fh, 4))
-            shape = struct.unpack(f"<{rank}I", read_exact(fh, 4 * rank))
-            size = math.prod(shape)
-            arr = np.frombuffer(read_exact(fh, size * 8), dtype="<f8")
+            name = frame.text()
+            (rank,) = frame.unpack("<I")
+            shape = frame.unpack(f"<{rank}I")
             if name in tensors:
                 raise FormatError(f"duplicate tensor name {name!r}")
-            if not np.isfinite(arr).all():
-                raise FormatError(f"tensor {name!r} holds non-finite values")
-            tensors[name] = arr.reshape(shape).copy()
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError("trailing bytes after checkpoint payload")
+            tensors[name] = frame.array("<f8", shape, f"tensor {name!r}")
+        frame.end()
     return Checkpoint(meta, tensors)
 
 
@@ -186,38 +165,54 @@ def _restore(tensor: Tensor, checkpoint: Checkpoint, key: str):
     tensor.values = stored.copy()
 
 
+def checkpoint_field(checkpoint: Checkpoint, kind: str, key: str, build):
+    """Metadata field ``key`` of a ``kind`` checkpoint, built into ``build``:
+    a config dataclass from its fields, or a scalar type. A wrong kind, a
+    missing key or a value ``build`` rejects is a ``FormatError`` naming it."""
+    if checkpoint.meta.get("kind") != kind:
+        raise FormatError(
+            f"expected a {kind} checkpoint, got kind={checkpoint.meta.get('kind')!r}")
+    if key not in checkpoint.meta:
+        raise FormatError(f"{kind} checkpoint metadata lacks {key!r}")
+    value = checkpoint.meta[key]
+    try:
+        return build(**value) if dataclasses.is_dataclass(build) else build(value)
+    except (TypeError, ConfigError, ParameterError) as exc:
+        raise FormatError(
+            f"{kind} checkpoint metadata {key!r} does not fit: {exc}") from exc
+
+
 def unpack_encoder(checkpoint: Checkpoint, prefix: str, config) -> EncoderWeights:
     """Rebuild encoder weights from checkpoint tensors (non-trainable)."""
     weights = init_encoder(config, seed=0)
     for name, tensor in weights.params.items():
         _restore(tensor, checkpoint, f"{prefix}/{name}")
-        tensor.trainable = False
     return weights
 
 
 def clip_encoders_from_checkpoint(checkpoint: Checkpoint):
     """(visual weights, text weights, temperature) from a CLIP checkpoint."""
-    if checkpoint.meta.get("kind") != "clip":
-        raise FormatError(
-            f"expected a CLIP checkpoint, got kind={checkpoint.meta.get('kind')!r}")
-    vcfg = VisualEncoderConfig(**checkpoint.meta["visual_config"])
-    tcfg = TextEncoderConfig(**checkpoint.meta["text_config"])
-    visual = unpack_encoder(checkpoint, "visual", vcfg)
-    text = unpack_encoder(checkpoint, "text", tcfg)
-    return visual, text, float(checkpoint.meta["temperature"])
+    field = lambda key, build: checkpoint_field(checkpoint, "clip", key, build)
+    visual = unpack_encoder(checkpoint, "visual",
+                            field("visual_config", VisualEncoderConfig))
+    text = unpack_encoder(checkpoint, "text", field("text_config", TextEncoderConfig))
+    return visual, text, field("temperature", float)
 
 
 # ---------------------------------------------------------------------------
 # Training loops
 # ---------------------------------------------------------------------------
 
-def _check_loss(loss: Tensor, step: int, train_cfg: TrainConfig):
-    """Stop a diverged run at the step where its loss stops being finite."""
+def _descend(opt: AdamW, loss: Tensor, step: int, train_cfg: TrainConfig):
+    """One AdamW step on ``loss``; a run stops at its first non-finite loss."""
     if not math.isfinite(loss.item()):
         raise ConfigError(
             f"training diverged: loss is {loss.item()} at step {step} with "
             f"learning rate {train_cfg.learning_rate:g}; lower train.learning_rate "
             f"(or, for train-taca, train.taca_learning_rate when set)")
+    opt.zero_grad()
+    ad.backward(loss)
+    opt.step()
 
 
 def pretrain_clip(visual_cfg: VisualEncoderConfig, text_cfg: TextEncoderConfig,
@@ -245,13 +240,8 @@ def pretrain_clip(visual_cfg: VisualEncoderConfig, text_cfg: TextEncoderConfig,
             txt_feats = encode_text(text, dataset.captions[batch])
             loss = clip_symmetric_loss(img_feats, txt_feats,
                                        contrastive.temperature)
-            _check_loss(loss, step, train_cfg)
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
+            _descend(opt, loss, step, train_cfg)
         last_loss = loss.item()
-    visual.set_trainable(False)
-    text.set_trainable(False)
     meta = {
         "kind": "clip",
         "visual_config": dataclasses.asdict(visual_cfg),
@@ -295,13 +285,10 @@ def train_taca(old_ckpt: Checkpoint, new_ckpt: Checkpoint, taca_cfg: TacaConfig,
     opt = AdamW(attachment.trainable_tensors(), lr=train_cfg.learning_rate)
     # Old encoders are frozen, so their per-sample features are constants;
     # compute them once instead of once per epoch.
-    with ad.no_grad():
-        old_img_all = np.concatenate([
-            encode_image(old_visual, dataset.images[s:s + 64]).values
-            for s in range(0, len(dataset), 64)])
-        old_txt_all = np.concatenate([
-            encode_text(old_text, dataset.captions[s:s + 64]).values
-            for s in range(0, len(dataset), 64)])
+    old_img_all = encode_chunked(lambda x: encode_image(old_visual, x),
+                                 dataset.images)
+    old_txt_all = encode_chunked(lambda c: encode_text(old_text, c),
+                                 dataset.captions)
     log = []
     for step, batch in enumerate(batch_indices(
             len(dataset), train_cfg.batch_size, train_cfg.steps, train_cfg.seed)):
@@ -310,10 +297,7 @@ def train_taca(old_ckpt: Checkpoint, new_ckpt: Checkpoint, taca_cfg: TacaConfig,
             old_txt = Tensor(old_txt_all[batch])
             new_img = adapted.encode(dataset.images[batch])
             total, comps = compat_total(new_img, old_txt, old_img, loss_cfg)
-            _check_loss(total, step, train_cfg)
-            opt.zero_grad()
-            ad.backward(total)
-            opt.step()
+            _descend(opt, total, step, train_cfg)
         log.append((step, total.item(), comps["contrastive"],
                     comps["distillation"]))
     _audit_frozen(backbone_snapshot, old_visual, old_text, new_visual)
@@ -356,16 +340,18 @@ def attachment_from_checkpoint(taca_ckpt: Checkpoint,
     When ``new_visual`` is omitted the frozen backbone embedded in the
     checkpoint is used.
     """
-    if taca_ckpt.meta.get("kind") != "taca_attachment":
-        raise FormatError(
-            f"expected an attachment checkpoint, got kind={taca_ckpt.meta.get('kind')!r}")
+    field = lambda key, build: checkpoint_field(taca_ckpt, "taca_attachment",
+                                                key, build)
     if new_visual is None:
-        vcfg = VisualEncoderConfig(**taca_ckpt.meta["new_visual_config"])
-        new_visual = unpack_encoder(taca_ckpt, "backbone", vcfg)
-    cfg = TacaConfig(**taca_ckpt.meta["taca_config"])
-    attachment, adapted = attach_taca(new_visual, cfg,
-                                      int(taca_ckpt.meta["dim_old"]),
-                                      seed=int(taca_ckpt.meta["seed"]))
+        new_visual = unpack_encoder(taca_ckpt, "backbone",
+                                    field("new_visual_config", VisualEncoderConfig))
+    cfg = field("taca_config", TacaConfig)
+    try:
+        attachment, adapted = attach_taca(new_visual, cfg, field("dim_old", int),
+                                          seed=field("seed", int))
+    except ConfigError as exc:
+        raise FormatError(f"attachment checkpoint metadata 'taca_config' does "
+                          f"not fit its backbone: {exc}") from exc
     for name, tensor in attachment.named_tensors().items():
         _restore(tensor, taca_ckpt, name)
     return attachment, adapted

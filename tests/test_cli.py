@@ -7,8 +7,8 @@ import pytest
 
 from hotplug import evaluation
 from hotplug.cli import EXIT_IO, EXIT_OK, EXIT_ORDERING, EXIT_USAGE, main
-from hotplug.data import load_dataset
-from hotplug.training import load_checkpoint
+from hotplug.data import load_dataset, save_dataset
+from hotplug.training import load_checkpoint, save_checkpoint
 
 FAST_CONFIG = {
     "old_encoder": {"layers": 1, "width": 16, "heads": 2, "embed_dim": 8,
@@ -161,6 +161,28 @@ def _meta_len(checkpoint_path):
         return struct.unpack("<I", fh.read(12)[8:])[0]
 
 
+def _edited_meta(edit):
+    """Copy a checkpoint with ``edit`` applied to its metadata object."""
+    def copy(src, dst):
+        ckpt = load_checkpoint(src)
+        edit(ckpt.meta)
+        save_checkpoint(ckpt, dst)
+    return copy
+
+
+def _edited_dataset(field, value):
+    """Copy a dataset with the first entry of array ``field`` set to ``value``."""
+    def copy(src, dst):
+        dataset = load_dataset(src)
+        getattr(dataset, field)[0, 0] = value
+        save_dataset(dataset, dst)
+    return copy
+
+
+def _rename_layers(meta):
+    meta["visual_config"]["depth"] = meta["visual_config"].pop("layers")
+
+
 class TestCorruptArtifacts:
     """Corrupt or non-finite artifacts exit 4 and a diverged run exits 2,
     each with a message that names the cause."""
@@ -203,6 +225,25 @@ class TestCorruptArtifacts:
         assert self._eval(workspace, old) == EXIT_IO
         err = capsys.readouterr().err
         assert repr(name) in err and "non-finite" in err
+
+    @pytest.mark.parametrize("artifact, edit, named", [
+        ("old", _edited_meta(_rename_layers), "'visual_config'"),
+        ("old", _edited_meta(lambda meta: meta.pop("text_config")), "'text_config'"),
+        ("old", _edited_meta(lambda meta: meta["visual_config"].update(heads=5)),
+         "'visual_config'"),
+        ("taca", _edited_meta(lambda meta: meta.pop("dim_old")), "'dim_old'"),
+        ("eval", _edited_dataset("captions", 200), "caption token ids"),
+        ("eval", _edited_dataset("latents", 200), "latent ids"),
+    ], ids=["renamed-layers", "no-text-config", "heads-5", "no-dim-old",
+            "caption-token-200", "latent-200"])
+    def test_artifact_that_does_not_fit_is_io_error(self, workspace, tmp_path,
+                                                    capsys, artifact, edit, named):
+        paths = dict(workspace, **{artifact: str(tmp_path / artifact)})
+        edit(workspace[artifact], paths[artifact])
+        assert main(["eval-compat", "--old", paths["old"], "--taca", paths["taca"],
+                     "--data", paths["eval"], "--task", "retrieval",
+                     "--config", paths["cfg"]]) == EXIT_IO
+        assert named in capsys.readouterr().err
 
     def test_divergent_pretrain_stops_at_its_step(self, workspace, tmp_path,
                                                   capsys):
