@@ -1,8 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The engine is define-by-run: every primitive records its inputs and a
-vector-Jacobian closure on the active tape, and ``backward`` walks that tape
-once in reverse. Arrays are plain numpy ``float64``; there is no implicit
+The engine is define-by-run: a primitive records its inputs and a
+vector-Jacobian closure on the active tape only outside ``no_grad`` and when
+some input is trainable or ``needs_grad``, and ``backward`` walks that tape once
+in reverse. Ops on constants alone record nothing; ``matmul``, ``add`` (its
+bias sum) and ``layer_norm`` skip the gradients of constant inputs, and the
+activations and ``log_softmax_rows`` build derivative state only in their
+closures. Arrays are plain numpy ``float64``; there is no implicit
 broadcasting except bias addition over the last axis.
 """
 
@@ -30,16 +34,18 @@ _ids = itertools.count()
 class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
-    ``trainable`` marks leaves that ``backward`` should populate; everything
-    else is treated as a constant or an intermediate.
+    ``trainable`` marks leaves that ``backward`` should populate and
+    ``needs_grad`` the output of a recorded primitive; a tensor with neither
+    is a constant, and no gradient is formed for it.
     """
 
-    __slots__ = ("values", "grad", "trainable", "id")
+    __slots__ = ("values", "grad", "trainable", "needs_grad", "id")
 
     def __init__(self, values, trainable: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
         self.trainable = bool(trainable)
+        self.needs_grad = False
         self.id = next(_ids)
 
     @property
@@ -114,9 +120,19 @@ def no_grad():
         _grad_enabled = saved
 
 
+def _wants_grad(t: Tensor) -> bool:
+    return t.trainable or t.needs_grad
+
+
 def _record(out: Tensor, parents, vjp):
-    if _grad_enabled:
-        _tape.records.append((out, tuple(parents), vjp))
+    """Tape ``out`` if recording is on and some parent wants a gradient."""
+    if not _grad_enabled:
+        return
+    for p in parents:  # a loop, not any(): this runs once per primitive call
+        if p.trainable or p.needs_grad:
+            out.needs_grad = True
+            _tape.records.append((out, tuple(parents), vjp))
+            return
 
 
 def backward(loss: Tensor):
@@ -133,7 +149,7 @@ def backward(loss: Tensor):
         if g is None:
             continue
         for parent, pg in zip(parents, vjp(g)):
-            if pg is None:
+            if pg is None or not _wants_grad(parent):
                 continue
             acc = grads.get(parent.id)
             grads[parent.id] = pg if acc is None else acc + pg
@@ -163,7 +179,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if b.values.ndim == 1 and a.shape and a.shape[-1] == b.shape[0]:
         out = Tensor(a.values + b.values)
         axes = tuple(range(a.values.ndim - 1))
-        _record(out, (a, b), lambda g: (g, g.sum(axis=axes)))
+        _record(out, (a, b),
+                lambda g: (g, g.sum(axis=axes) if _wants_grad(b) else None))
         return out
     raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
@@ -218,10 +235,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.matmul(av, bv))
 
     def vjp(g):
-        da = np.matmul(g, np.swapaxes(bv, -1, -2))
-        db = np.matmul(np.swapaxes(av, -1, -2), g)
-        if bv.ndim == 2 and db.ndim > 2:
-            db = db.sum(axis=tuple(range(db.ndim - 2)))
+        da = np.matmul(g, np.swapaxes(bv, -1, -2)) if _wants_grad(a) else None
+        db = None
+        if _wants_grad(b):
+            db = np.matmul(np.swapaxes(av, -1, -2), g)
+            if bv.ndim == 2 and db.ndim > 2:
+                db = db.sum(axis=tuple(range(db.ndim - 2)))
         return da, db
 
     _record(out, (a, b), vjp)
@@ -321,18 +340,16 @@ def mean_all(a: Tensor) -> Tensor:
 
 def elementwise_activation(a: Tensor, kind: str) -> Tensor:
     """relu or the exact Gaussian-CDF gelu."""
+    x = a.values
     if kind == "relu":
-        out = Tensor(np.maximum(a.values, 0.0))
-        mask = (a.values > 0).astype(np.float64)
-        _record(out, (a,), lambda g: (g * mask,))
+        out = Tensor(np.maximum(x, 0.0))
+        _record(out, (a,), lambda g: (g * (x > 0).astype(np.float64),))
         return out
     if kind == "gelu":
-        x = a.values
         phi = ndtr(x)
         out = Tensor(x * phi)
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        local = phi + x * pdf
-        _record(out, (a,), lambda g: (g * local,))
+        _record(out, (a,), lambda g: (
+            g * (phi + x * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))),))
         return out
     raise ParameterError(f"unknown activation kind: {kind!r}")
 
@@ -367,8 +384,8 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     z = a.values - a.values.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     out = Tensor(z - lse)
-    s = np.exp(z - lse)
-    _record(out, (a,), lambda g: (g - s * g.sum(axis=-1, keepdims=True),))
+    _record(out, (a,),
+            lambda g: (g - np.exp(z - lse) * g.sum(axis=-1, keepdims=True),))
     return out
 
 
@@ -406,12 +423,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     lead = tuple(range(a.values.ndim - 1))
 
     def vjp(g):
-        gg = g * gv
-        dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
-                    - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        return dx, dgain, dbias
+        dx = None
+        if _wants_grad(a):
+            gg = g * gv
+            dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                        - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+        return (dx, (g * xhat).sum(axis=lead) if _wants_grad(gain) else None,
+                g.sum(axis=lead) if _wants_grad(bias) else None)
 
     _record(out, (a, gain, bias), vjp)
     return out

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DimensionError, ParameterError
+from .errors import ConfigError, DimensionError, ParameterError, check_fields
 
 FFN_EXPANSION = 4
 INIT_STD = 0.02
@@ -30,8 +30,7 @@ class ImageSpec:
     patch: int
 
     def __post_init__(self):
-        if self.height <= 0 or self.width <= 0 or self.channels <= 0 or self.patch <= 0:
-            raise ConfigError(f"image spec dimensions must be positive: {self}")
+        check_fields(self)
         if self.height % self.patch or self.width % self.patch:
             raise ConfigError(
                 f"patch size {self.patch} must divide image {self.height}x{self.width}")
@@ -56,8 +55,7 @@ class VisualEncoderConfig:
     def __post_init__(self):
         if isinstance(self.image_spec, dict):  # as read back from metadata
             object.__setattr__(self, "image_spec", ImageSpec(**self.image_spec))
-        if self.layers < 1 or self.embed_dim < 1:
-            raise ConfigError(f"layers/embed_dim must be >= 1: {self}")
+        check_fields(self)
         if self.width % self.heads:
             raise ConfigError(f"heads {self.heads} must divide width {self.width}")
 
@@ -74,12 +72,11 @@ class TextEncoderConfig:
     sep_id: int
 
     def __post_init__(self):
+        check_fields(self, cls_id=0, sep_id=0)
         if self.cls_id == self.sep_id:
             raise ConfigError("cls_id and sep_id must differ")
         if self.cls_id >= self.vocab_size or self.sep_id >= self.vocab_size:
             raise ConfigError("cls/sep ids must be < vocab_size")
-        if self.layers < 1 or self.embed_dim < 1:
-            raise ConfigError(f"layers/embed_dim must be >= 1: {self}")
         if self.width % self.heads:
             raise ConfigError(f"heads {self.heads} must divide width {self.width}")
 

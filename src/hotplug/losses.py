@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, check_fields
 
 UNIT_ROW_TOL = 1e-6
 
@@ -22,6 +22,7 @@ class ContrastiveConfig:
     temperature: float = 0.07
 
     def __post_init__(self):
+        check_fields(self)
         if not self.temperature > 0:
             raise ParameterError(f"temperature must be > 0, got {self.temperature}")
 
@@ -33,7 +34,8 @@ class CompatLossConfig:
     symmetric: bool = False               # both InfoNCE directions
 
     def __post_init__(self):
-        if not (np.isfinite(self.distill_weight) and self.distill_weight >= 0):
+        check_fields(self)
+        if self.distill_weight < 0:
             raise ParameterError(
                 f"distill_weight must be finite and >= 0, got {self.distill_weight}")
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoders import EncoderWeights, VisualEncoderConfig, encode_image
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, checked, check_fields
 
 PROJECTOR_INIT_STD = 0.02
 
@@ -139,16 +139,18 @@ class TacaConfig:
 
     def __post_init__(self):
         # Config files and checkpoint metadata give a JSON list or null.
-        object.__setattr__(self, "inserted_layers",
-                           tuple(self.inserted_layers or ()))
+        layers = self.inserted_layers or ()
+        if not isinstance(layers, (list, tuple)):
+            raise ConfigError(f"TacaConfig.inserted_layers must be a list, got {layers!r}")
+        object.__setattr__(self, "inserted_layers", tuple(
+            checked(layer, int, "TacaConfig.inserted_layers") for layer in layers))
+        check_fields(self)
         if self.variant not in ("adapter", "lora"):
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.adapters_per_block not in (1, 2):
             raise ConfigError("adapters_per_block must be 1 or 2")
         if self.activation not in ("relu", "gelu"):
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.projector_hidden < 1:
-            raise ConfigError("projector_hidden must be >= 1")
 
     def resolve_layers(self, num_layers: int) -> tuple:
         layers = self.inserted_layers or tuple(range(1, num_layers + 1))

@@ -8,6 +8,7 @@ Every run is fully determined by its configs and seeds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import struct
@@ -27,7 +28,8 @@ from .encoders import (
     encode_text,
     init_encoder,
 )
-from .errors import ConfigError, ContractError, FormatError, ParameterError
+from .errors import (ConfigError, ContractError, FormatError, ParameterError,
+                     check_fields, checked)
 from .losses import CompatLossConfig, ContrastiveConfig, clip_symmetric_loss, compat_total
 from .peft import TacaConfig, attach_taca
 
@@ -47,10 +49,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, seed=0)
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (contrastive negatives)")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
 
 
 class AdamW:
@@ -165,10 +168,12 @@ def _restore(tensor: Tensor, checkpoint: Checkpoint, key: str):
     tensor.values = stored.copy()
 
 
-def checkpoint_field(checkpoint: Checkpoint, kind: str, key: str, build):
+def checkpoint_field(checkpoint: Checkpoint, kind: str, key: str, build,
+                     minimum: int = 1):
     """Metadata field ``key`` of a ``kind`` checkpoint, built into ``build``:
-    a config dataclass from its fields, or a scalar type. A wrong kind, a
-    missing key or a value ``build`` rejects is a ``FormatError`` naming it."""
+    a config dataclass from its fields, or a scalar type checked by
+    ``errors.checked`` (an int at least ``minimum``). A wrong kind, a missing
+    key or a value ``build`` rejects is a ``FormatError`` naming it."""
     if checkpoint.meta.get("kind") != kind:
         raise FormatError(
             f"expected a {kind} checkpoint, got kind={checkpoint.meta.get('kind')!r}")
@@ -176,8 +181,10 @@ def checkpoint_field(checkpoint: Checkpoint, kind: str, key: str, build):
         raise FormatError(f"{kind} checkpoint metadata lacks {key!r}")
     value = checkpoint.meta[key]
     try:
-        return build(**value) if dataclasses.is_dataclass(build) else build(value)
-    except (TypeError, ConfigError, ParameterError) as exc:
+        if dataclasses.is_dataclass(build):
+            return build(**value)
+        return build(checked(value, build, key, minimum))
+    except (TypeError, ValueError, ConfigError, ParameterError) as exc:
         raise FormatError(
             f"{kind} checkpoint metadata {key!r} does not fit: {exc}") from exc
 
@@ -192,7 +199,7 @@ def unpack_encoder(checkpoint: Checkpoint, prefix: str, config) -> EncoderWeight
 
 def clip_encoders_from_checkpoint(checkpoint: Checkpoint):
     """(visual weights, text weights, temperature) from a CLIP checkpoint."""
-    field = lambda key, build: checkpoint_field(checkpoint, "clip", key, build)
+    field = functools.partial(checkpoint_field, checkpoint, "clip")
     visual = unpack_encoder(checkpoint, "visual",
                             field("visual_config", VisualEncoderConfig))
     text = unpack_encoder(checkpoint, "text", field("text_config", TextEncoderConfig))
@@ -340,15 +347,14 @@ def attachment_from_checkpoint(taca_ckpt: Checkpoint,
     When ``new_visual`` is omitted the frozen backbone embedded in the
     checkpoint is used.
     """
-    field = lambda key, build: checkpoint_field(taca_ckpt, "taca_attachment",
-                                                key, build)
+    field = functools.partial(checkpoint_field, taca_ckpt, "taca_attachment")
     if new_visual is None:
         new_visual = unpack_encoder(taca_ckpt, "backbone",
                                     field("new_visual_config", VisualEncoderConfig))
     cfg = field("taca_config", TacaConfig)
     try:
         attachment, adapted = attach_taca(new_visual, cfg, field("dim_old", int),
-                                          seed=field("seed", int))
+                                          seed=field("seed", int, minimum=0))
     except ConfigError as exc:
         raise FormatError(f"attachment checkpoint metadata 'taca_config' does "
                           f"not fit its backbone: {exc}") from exc

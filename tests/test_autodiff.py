@@ -3,6 +3,7 @@ import pytest
 
 from hotplug import autodiff as ad
 from hotplug.autodiff import Tensor
+from hotplug.encoders import ImageSpec, VisualEncoderConfig, encode_image, init_encoder
 from hotplug.errors import (
     ContractError,
     DegenerateVectorError,
@@ -234,3 +235,58 @@ class TestFiniteness:
         for out in (ad.softmax_rows(x, 0.05), ad.log_softmax_rows(x),
                     ad.gelu(x), ad.l2_normalize_rows(x)):
             assert np.isfinite(out.values).all()
+
+
+class TestRecording:
+    """Only ops that lead back to a trainable tensor go on the tape, and
+    their closures form gradients only for inputs that need one."""
+
+    def test_frozen_encoder_forward_records_nothing(self):
+        cfg = VisualEncoderConfig(ImageSpec(8, 8, 1, 4), layers=2, width=8,
+                                  heads=2, embed_dim=4)
+        weights = init_encoder(cfg, seed=0)
+        images = np.random.default_rng(13).normal(size=(3, 8, 8, 1))
+        with ad.new_tape() as tape:
+            emb = encode_image(weights, images)
+        assert len(tape) == 0 and not emb.needs_grad
+
+    def test_constant_operand_gets_no_gradient(self):
+        rng = np.random.default_rng(14)
+        const = Tensor(rng.normal(size=(2, 3, 4)))
+        w = Tensor(rng.normal(size=(4, 5)), trainable=True)
+        with ad.new_tape() as tape:
+            out = ad.matmul(const, w)
+        ((recorded, parents, vjp),) = tape.records
+        assert recorded is out and out.needs_grad
+        d_const, d_w = vjp(np.ones(out.shape))
+        assert d_const is None
+        np.testing.assert_allclose(
+            d_w, np.einsum("btk,btn->kn", const.values, np.ones(out.shape)))
+
+    @pytest.mark.parametrize("op", [ad.relu, ad.gelu, ad.log_softmax_rows],
+                             ids=["relu", "gelu", "log_softmax_rows"])
+    def test_values_do_not_depend_on_recording(self, op):
+        x = np.random.default_rng(15).normal(size=(4, 6)) * 3
+        with ad.new_tape() as tape:
+            recorded = op(Tensor(x, trainable=True)).values
+            frozen = op(Tensor(x)).values
+            with ad.no_grad():
+                unrecorded = op(Tensor(x, trainable=True)).values
+        assert len(tape) == 1
+        assert np.array_equal(recorded, frozen)
+        assert np.array_equal(recorded, unrecorded)
+
+    def test_tape_entries_are_output_parents_closure_triples(self):
+        rng = np.random.default_rng(16)
+        w = Tensor(rng.normal(size=(3, 3)), trainable=True)
+        g = Tensor(np.ones(3), trainable=True)
+        with ad.new_tape() as tape:
+            h = ad.layer_norm(ad.matmul(Tensor(rng.normal(size=(2, 3))), w), g,
+                              Tensor(np.zeros(3)))
+            ad.backward(ad.sum_all(ad.gelu(h)))
+        assert len(tape) == 4
+        for entry in tape.records:
+            out, parents, vjp = entry
+            assert isinstance(entry, tuple) and isinstance(out, Tensor)
+            assert isinstance(parents, tuple) and callable(vjp)
+            assert all(isinstance(p, Tensor) for p in parents)

@@ -234,8 +234,15 @@ class TestCorruptArtifacts:
         ("taca", _edited_meta(lambda meta: meta.pop("dim_old")), "'dim_old'"),
         ("eval", _edited_dataset("captions", 200), "caption token ids"),
         ("eval", _edited_dataset("latents", 200), "latent ids"),
+        ("taca", _edited_meta(lambda meta: meta.update(seed="x")), "'seed'"),
+        ("taca", _edited_meta(lambda meta: meta.update(dim_old=-3)), "'dim_old'"),
+        ("old", _edited_meta(lambda meta: meta["visual_config"].update(
+            image_spec=None)), "'visual_config'"),
+        ("taca", _edited_meta(lambda meta: meta["taca_config"].update(
+            bottleneck=2.5)), "'taca_config'"),
     ], ids=["renamed-layers", "no-text-config", "heads-5", "no-dim-old",
-            "caption-token-200", "latent-200"])
+            "caption-token-200", "latent-200", "seed-x", "dim-old-negative",
+            "null-image-spec", "fractional-bottleneck"])
     def test_artifact_that_does_not_fit_is_io_error(self, workspace, tmp_path,
                                                     capsys, artifact, edit, named):
         paths = dict(workspace, **{artifact: str(tmp_path / artifact)})
@@ -244,6 +251,31 @@ class TestCorruptArtifacts:
                      "--data", paths["eval"], "--task", "retrieval",
                      "--config", paths["cfg"]]) == EXIT_IO
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, values, named", [
+        ("pretrain", "old_encoder", {"layers": "x"}, "layers"),
+        ("pretrain", "old_encoder", {"heads": 0}, "heads"),
+        ("pretrain", "train", {"seed": True}, "seed"),
+        ("pretrain", "loss", {"temperature": "0.07"}, "temperature"),
+        ("train-taca", "taca", {"bottleneck": 2.5}, "bottleneck"),
+        ("train-taca", "taca", {"inserted_layers": ["1"]}, "inserted_layers"),
+        ("train-taca", "train", {"taca_learning_rate": -1e-3}, "learning_rate"),
+        ("train-taca", "loss", {"symmetric_contrastive": 1}, "symmetric"),
+    ], ids=["layers-x", "heads-0", "seed-true", "temperature-string",
+            "fractional-bottleneck", "layer-string", "negative-lr", "symmetric-1"])
+    def test_config_value_of_wrong_type_or_sign_is_usage_error(
+            self, workspace, tmp_path, capsys, command, section, values, named):
+        cfg = json.loads(json.dumps(FAST_CONFIG))
+        cfg.setdefault(section, {}).update(values)
+        cfg_path = tmp_path / "typed.json"
+        cfg_path.write_text(json.dumps(cfg))
+        inputs = {"pretrain": ["--role", "old", "--data", workspace["data"]],
+                  "train-taca": ["--old", workspace["old"], "--new", workspace["new"],
+                                 "--data", workspace["data"]]}[command]
+        assert main([command, *inputs, "--out", str(tmp_path / "o"),
+                     "--config", str(cfg_path)]) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_divergent_pretrain_stops_at_its_step(self, workspace, tmp_path,
                                                   capsys):

@@ -11,11 +11,13 @@ from hotplug.encoders import (
     ImageSpec,
     TextEncoderConfig,
     VisualEncoderConfig,
+    encode_image,
+    encode_text,
     init_encoder,
 )
 from hotplug.errors import ConfigError, ContractError, FormatError
-from hotplug.losses import CompatLossConfig, ContrastiveConfig
-from hotplug.peft import TacaConfig
+from hotplug.losses import CompatLossConfig, ContrastiveConfig, compat_total
+from hotplug.peft import TacaConfig, attach_taca
 from hotplug.training import (
     AdamW,
     Checkpoint,
@@ -213,6 +215,44 @@ class TestPretrainClip:
         assert visual.config == OLD_VCFG
         for name, t in visual.params.items():
             assert np.array_equal(t.values, old.tensors[f"visual/{name}"])
+
+
+class TestTapePruning:
+    """A frozen backbone is neither recorded nor differentiated, and the
+    gradients that reach the attachment do not change because of it."""
+
+    @staticmethod
+    def _step_grads(old, new, ds, taca_cfg, backbone_trainable):
+        """One train-taca step's attachment gradients and tape length."""
+        old_visual, old_text, tau = clip_encoders_from_checkpoint(old)
+        new_visual, _, _ = clip_encoders_from_checkpoint(new)
+        attachment, adapted = attach_taca(new_visual, taca_cfg,
+                                          OLD_VCFG.embed_dim, seed=0)
+        new_visual.set_trainable(backbone_trainable)
+        batch = np.arange(FAST.batch_size)
+        with ad.no_grad():
+            old_img = encode_image(old_visual, ds.images[batch])
+            old_txt = encode_text(old_text, ds.captions[batch])
+        loss_cfg = CompatLossConfig(contrastive=ContrastiveConfig(tau))
+        with ad.new_tape() as tape:
+            total, _ = compat_total(adapted.encode(ds.images[batch]), old_txt,
+                                    old_img, loss_cfg)
+            ad.backward(total)
+        grads = {name: t.grad for name, t in attachment.named_tensors().items()}
+        return grads, len(tape)
+
+    @pytest.mark.parametrize("taca_cfg", [
+        TacaConfig(bottleneck=4, projector_hidden=8),
+        TacaConfig(variant="lora", rank=2, inserted_layers=(2,), projector_hidden=8),
+    ], ids=["adapter", "lora"])
+    def test_attachment_grads_bitwise_equal_to_unpruned(self, taca_cfg):
+        ds, old, new = small_clip_pair()
+        pruned, pruned_len = self._step_grads(old, new, ds, taca_cfg, False)
+        full, full_len = self._step_grads(old, new, ds, taca_cfg, True)
+        assert pruned_len < full_len
+        assert pruned.keys() == full.keys()
+        for name, grad in pruned.items():
+            assert grad is not None and np.array_equal(grad, full[name]), name
 
 
 class TestTrainTaca:
