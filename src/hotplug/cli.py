@@ -39,10 +39,8 @@ def cmd_gen_data(args) -> int:
     if args.seed is not None:
         config["data"]["seed"] = args.seed
     digest = cfg_mod.config_digest(config)
-    if config["data"]["n"] < 1:
-        raise ConfigError("--n must be >= 1")
-    dataset = generate_dataset(config["data"]["n"], config["data"]["seed"],
-                               cfg_mod.image_spec_from(config),
+    n, seed = cfg_mod.data_settings_from(config)
+    dataset = generate_dataset(n, seed, cfg_mod.image_spec_from(config),
                                config_digest=digest)
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} samples to {args.out} (digest {digest[:12]})")
@@ -108,16 +106,13 @@ def _check_digests(old_ckpt, new_ckpt, taca_ckpt, force: bool):
 
 
 def cmd_eval_compat(args) -> int:
-    config = _load_config(args.config)
+    settings = cfg_mod.eval_settings_from(_load_config(args.config))
     dataset = load_dataset(args.data)
     old_ckpt = load_checkpoint(args.old)
     taca_ckpt = load_checkpoint(args.taca)
     new_ckpt = load_checkpoint(args.new_cold) if args.new_cold else None
     _check_digests(old_ckpt, new_ckpt, taca_ckpt, args.force)
-    report = hot_plug_report(
-        old_ckpt, taca_ckpt, new_ckpt, dataset, args.task,
-        k=config["eval"]["k"], head_seeds=tuple(config["eval"]["head_seeds"]),
-        gallery_seed=config["eval"]["gallery_seed"])
+    report = hot_plug_report(old_ckpt, taca_ckpt, new_ckpt, dataset, args.task, **settings)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_json() + "\n")

@@ -14,7 +14,7 @@ import json
 
 from . import data as data_mod
 from .encoders import ImageSpec, TextEncoderConfig, VisualEncoderConfig
-from .errors import ConfigError
+from .errors import ConfigError, checked
 from .losses import CompatLossConfig, ContrastiveConfig
 from .peft import TacaConfig
 from .training import TrainConfig
@@ -112,6 +112,26 @@ def loss_config_from(config: dict) -> CompatLossConfig:
         distill_weight=section["distill_weight"],
         contrastive=ContrastiveConfig(temperature=section["temperature"]),
         symmetric=section["symmetric_contrastive"])
+
+
+def data_settings_from(config: dict) -> tuple[int, int]:
+    """(sample count, seed) from the ``data`` section."""
+    section = config["data"]
+    return (checked(section["n"], int, "data.n"),
+            checked(section["seed"], int, "data.seed", 0))
+
+
+def eval_settings_from(config: dict) -> dict:
+    """``hot_plug_report``'s ``k``, ``head_seeds`` and ``gallery_seed`` from
+    the ``eval`` section."""
+    section = config["eval"]
+    seeds = section["head_seeds"]
+    if not isinstance(seeds, (list, tuple)) or not seeds:
+        raise ConfigError(
+            f"eval.head_seeds must be a non-empty list of integers, got {seeds!r}")
+    return {"k": checked(section["k"], int, "eval.k"),
+            "head_seeds": tuple(checked(s, int, "eval.head_seeds", 0) for s in seeds),
+            "gallery_seed": checked(section["gallery_seed"], int, "eval.gallery_seed", 0)}
 
 
 def train_config_from(config: dict, steps: int | None = None,

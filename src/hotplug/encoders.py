@@ -222,7 +222,7 @@ def _attention(params, prefix: str, x: Tensor, heads: int, attachment=None,
                   params[f"{prefix}.attn.bo"])
 
 
-def _transformer_blocks(weights: EncoderWeights, x: Tensor, heads: int,
+def _transformer_blocks(weights: EncoderWeights, x: Tensor, heads: int, readout: int,
                         attachment=None, collect=None) -> Tensor:
     params = weights.params
     for i in range(weights.config.layers):
@@ -232,6 +232,8 @@ def _transformer_blocks(weights: EncoderWeights, x: Tensor, heads: int,
         if attachment is not None:
             a_out = attachment.apply_adapter(i, "attn", a_out)
         x = ad.add(x, a_out)
+        if i == weights.config.layers - 1:  # only the readout row reaches the embedding
+            x = ad.index_select(x, 1, readout)
         f_in = ad.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
         h = ad.add(ad.matmul(f_in, params[f"{p}.ffn.w1"]), params[f"{p}.ffn.b1"])
         h = ad.gelu(h)
@@ -249,7 +251,9 @@ def encode_image(weights: EncoderWeights, images, attachment=None,
     """Embed one image (H, W, C) or a batch (B, H, W, C) to unit vectors.
 
     Returns a (d,) tensor for a single image, (B, d) for a batch. With
-    ``return_blocks`` also returns the per-block hidden states (values only).
+    ``return_blocks`` also returns the per-block hidden states (values only):
+    (B, T, width) for every block but the last, whose entry is the CLS row
+    alone, (B, width).
     """
     if weights.kind != "visual":
         raise ConfigError("encode_image requires visual weights")
@@ -275,9 +279,8 @@ def encode_image(weights: EncoderWeights, images, attachment=None,
                           (b, spec.num_patches + 1, cfg.width))
     x = ad.add(x, pos)
     collect = [] if return_blocks else None
-    x = _transformer_blocks(weights, x, cfg.heads, attachment, collect)
-    x = ad.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
-    head = ad.index_select(x, 1, 0)  # CLS position
+    x = _transformer_blocks(weights, x, cfg.heads, 0, attachment, collect)  # CLS row
+    head = ad.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
     emb = ad.l2_normalize_rows(ad.matmul(head, params["proj"]))
     if single:
         emb = ad.reshape(emb, (cfg.embed_dim,))
@@ -326,9 +329,8 @@ def encode_text(weights: EncoderWeights, tokens) -> Tensor:
     pos_rows = ad.embedding_lookup(params["pos_embed"], np.arange(seq))
     pos = ad.broadcast_to(ad.reshape(pos_rows, (1, seq, cfg.width)), (b, seq, cfg.width))
     x = ad.add(x, pos)
-    x = _transformer_blocks(weights, x, cfg.heads)
-    x = ad.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
-    head = ad.index_select(x, 1, seq - 1)  # SEP position
+    x = _transformer_blocks(weights, x, cfg.heads, seq - 1)  # SEP row
+    head = ad.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
     emb = ad.l2_normalize_rows(ad.matmul(head, params["proj"]))
     if single:
         emb = ad.reshape(emb, (cfg.embed_dim,))

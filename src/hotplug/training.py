@@ -203,7 +203,11 @@ def clip_encoders_from_checkpoint(checkpoint: Checkpoint):
     visual = unpack_encoder(checkpoint, "visual",
                             field("visual_config", VisualEncoderConfig))
     text = unpack_encoder(checkpoint, "text", field("text_config", TextEncoderConfig))
-    return visual, text, field("temperature", float)
+    temperature = field("temperature", float)
+    if not temperature > 0:
+        raise FormatError(f"clip checkpoint metadata 'temperature' does not fit: "
+                          f"must be > 0, got {temperature!r}")
+    return visual, text, temperature
 
 
 # ---------------------------------------------------------------------------

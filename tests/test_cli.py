@@ -240,9 +240,11 @@ class TestCorruptArtifacts:
             image_spec=None)), "'visual_config'"),
         ("taca", _edited_meta(lambda meta: meta["taca_config"].update(
             bottleneck=2.5)), "'taca_config'"),
+        ("old", _edited_meta(lambda meta: meta.update(temperature=0.0)),
+         "'temperature'"),
     ], ids=["renamed-layers", "no-text-config", "heads-5", "no-dim-old",
             "caption-token-200", "latent-200", "seed-x", "dim-old-negative",
-            "null-image-spec", "fractional-bottleneck"])
+            "null-image-spec", "fractional-bottleneck", "zero-temperature"])
     def test_artifact_that_does_not_fit_is_io_error(self, workspace, tmp_path,
                                                     capsys, artifact, edit, named):
         paths = dict(workspace, **{artifact: str(tmp_path / artifact)})
@@ -261,18 +263,31 @@ class TestCorruptArtifacts:
         ("train-taca", "taca", {"inserted_layers": ["1"]}, "inserted_layers"),
         ("train-taca", "train", {"taca_learning_rate": -1e-3}, "learning_rate"),
         ("train-taca", "loss", {"symmetric_contrastive": 1}, "symmetric"),
+        ("gen-data", "data", {"n": "x"}, "data.n"),
+        ("gen-data", "data", {"seed": -1}, "data.seed"),
+        ("eval-retrieval", "eval", {"k": "x"}, "eval.k"),
+        ("eval-retrieval", "eval", {"gallery_seed": -5}, "eval.gallery_seed"),
+        ("eval-classification", "eval", {"head_seeds": []}, "eval.head_seeds"),
+        ("eval-classification", "eval", {"head_seeds": [0, "1"]}, "eval.head_seeds"),
     ], ids=["layers-x", "heads-0", "seed-true", "temperature-string",
-            "fractional-bottleneck", "layer-string", "negative-lr", "symmetric-1"])
+            "fractional-bottleneck", "layer-string", "negative-lr", "symmetric-1",
+            "data-n-x", "data-seed-negative", "eval-k-x", "gallery-seed-negative",
+            "head-seeds-empty", "head-seed-string"])
     def test_config_value_of_wrong_type_or_sign_is_usage_error(
             self, workspace, tmp_path, capsys, command, section, values, named):
         cfg = json.loads(json.dumps(FAST_CONFIG))
         cfg.setdefault(section, {}).update(values)
         cfg_path = tmp_path / "typed.json"
         cfg_path.write_text(json.dumps(cfg))
-        inputs = {"pretrain": ["--role", "old", "--data", workspace["data"]],
-                  "train-taca": ["--old", workspace["old"], "--new", workspace["new"],
-                                 "--data", workspace["data"]]}[command]
-        assert main([command, *inputs, "--out", str(tmp_path / "o"),
+        evaluate = ["eval-compat", "--old", workspace["old"], "--taca", workspace["taca"],
+                    "--data", workspace["eval"], "--task"]
+        argv = {"pretrain": ["pretrain", "--role", "old", "--data", workspace["data"]],
+                "train-taca": ["train-taca", "--old", workspace["old"],
+                               "--new", workspace["new"], "--data", workspace["data"]],
+                "gen-data": ["gen-data"],
+                "eval-retrieval": [*evaluate, "retrieval"],
+                "eval-classification": [*evaluate, "classification"]}[command]
+        assert main([*argv, "--out", str(tmp_path / "o"),
                      "--config", str(cfg_path)]) == EXIT_USAGE
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

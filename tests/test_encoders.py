@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hotplug import autodiff as ad
+from hotplug.autodiff import Tensor
 from hotplug.encoders import (
     EncoderWeights,
     ImageSpec,
@@ -13,9 +14,12 @@ from hotplug.encoders import (
     patchify,
     text_param_count,
     visual_param_count,
+    _attention,
+    _patchify_batch,
 )
 from hotplug.errors import ConfigError, DimensionError, ParameterError
 from hotplug.losses import clip_symmetric_loss
+from hotplug.peft import TacaConfig, attach_taca
 
 SPEC = ImageSpec(16, 16, 1, 4)
 VCFG = VisualEncoderConfig(SPEC, layers=2, width=32, heads=4, embed_dim=16)
@@ -157,3 +161,140 @@ class TestGradientFlow:
             for name, t in weights.params.items():
                 assert t.grad is not None, name
                 assert np.abs(t.grad).sum() > 0, name
+
+
+# ---------------------------------------------------------------------------
+# Readout pruning: the last block runs on the CLS / SEP row only
+# ---------------------------------------------------------------------------
+
+GRAD_RTOL = 1e-10  # the pruned last-block FFN sums its weight gradients in one GEMM
+
+
+def _full_sequence_blocks(weights, x, heads, attachment=None):
+    """Every row through every block, as before the pruning."""
+    params = weights.params
+    for i in range(weights.config.layers):
+        p = f"block{i}"
+        a_in = ad.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
+        a_out = _attention(params, p, a_in, heads, attachment, i)
+        if attachment is not None:
+            a_out = attachment.apply_adapter(i, "attn", a_out)
+        x = ad.add(x, a_out)
+        f_in = ad.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
+        h = ad.add(ad.matmul(f_in, params[f"{p}.ffn.w1"]), params[f"{p}.ffn.b1"])
+        h = ad.gelu(h)
+        h = ad.add(ad.matmul(h, params[f"{p}.ffn.w2"]), params[f"{p}.ffn.b2"])
+        if attachment is not None:
+            h = attachment.apply_adapter(i, "ffn", h)
+        x = ad.add(x, h)
+    return x
+
+
+def _readout(weights, x, index):
+    params = weights.params
+    x = ad.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
+    head = ad.index_select(x, 1, index)
+    return ad.l2_normalize_rows(ad.matmul(head, params["proj"]))
+
+
+def reference_encode_image(weights, images, attachment=None):
+    cfg, params = weights.config, weights.params
+    b, t, k = images.shape[0], cfg.image_spec.num_patches + 1, cfg.width
+    patches = Tensor(_patchify_batch(images, cfg.image_spec))
+    x = ad.add(ad.matmul(patches, params["patch_embed"]), params["patch_bias"])
+    cls = ad.broadcast_to(ad.reshape(params["cls_token"], (1, 1, k)), (b, 1, k))
+    x = ad.concat([cls, x], axis=1)
+    x = ad.add(x, ad.broadcast_to(ad.reshape(params["pos_embed"], (1, t, k)), (b, t, k)))
+    x = _full_sequence_blocks(weights, x, cfg.heads, attachment)
+    return _readout(weights, x, 0)
+
+
+def reference_encode_text(weights, tokens):
+    cfg, params = weights.config, weights.params
+    b, seq, k = tokens.shape[0], tokens.shape[1] + 2, cfg.width
+    full = np.concatenate([np.full((b, 1), cfg.cls_id), tokens,
+                           np.full((b, 1), cfg.sep_id)], axis=1)
+    x = ad.embedding_lookup(params["tok_embed"], full)
+    pos = ad.embedding_lookup(params["pos_embed"], np.arange(seq))
+    x = ad.add(x, ad.broadcast_to(ad.reshape(pos, (1, seq, k)), (b, seq, k)))
+    x = _full_sequence_blocks(weights, x, cfg.heads)
+    return _readout(weights, x, seq - 1)
+
+
+def _attached(variant):
+    """Fresh encoders plus, for ``variant``, an attachment whose zero-initialized
+    up-projections are randomized so that every attachment site changes the
+    forward; every tensor is trainable."""
+    visual, text = init_encoder(VCFG, seed=2), init_encoder(TCFG, seed=3)
+    attachment = None
+    if variant is not None:
+        config = (TacaConfig(variant="adapter", bottleneck=8, adapters_per_block=2)
+                  if variant == "adapter" else TacaConfig(variant="lora", rank=2))
+        attachment, _ = attach_taca(visual, config, dim_old=16, seed=4)
+        rng = np.random.default_rng(5)
+        for t in attachment.trainable_tensors():
+            t.values = rng.normal(0.0, 0.1, size=t.shape)
+    visual.set_trainable(True)
+    text.set_trainable(True)
+    return visual, text, attachment
+
+
+def _grads(tensors, encode_image_fn, encode_text_fn, images, tokens):
+    for t in tensors:
+        t.zero_grad()
+    with ad.new_tape():
+        ad.backward(clip_symmetric_loss(encode_image_fn(images),
+                                        encode_text_fn(tokens), 0.07))
+    return [t.grad.copy() for t in tensors]
+
+
+class TestReadoutPruning:
+    @pytest.mark.parametrize("variant", [None, "adapter", "lora"])
+    @pytest.mark.parametrize("batch", [2, 32])
+    def test_embeddings_bitwise_equal_to_full_sequence(self, variant, batch):
+        visual, text, attachment = _attached(variant)
+        rng = np.random.default_rng(batch)
+        images = rng.uniform(size=(batch, 16, 16, 1))
+        tokens = rng.integers(2, 32, size=(batch, 4))
+        with ad.no_grad():
+            assert np.array_equal(encode_image(visual, images, attachment).values,
+                                  reference_encode_image(visual, images, attachment).values)
+            assert np.array_equal(encode_text(text, tokens).values,
+                                  reference_encode_text(text, tokens).values)
+
+    @pytest.mark.parametrize("variant", [None, "adapter", "lora"])
+    def test_gradients_match_full_sequence(self, variant):
+        visual, text, attachment = _attached(variant)
+        attached = attachment.named_tensors() if attachment else {}
+        tensors = [*visual.tensors(), *text.tensors(),  # the projector is not run
+                   *(t for n, t in attached.items() if not n.startswith("projector."))]
+        rng = np.random.default_rng(6)
+        images = rng.uniform(size=(8, 16, 16, 1))
+        tokens = rng.integers(2, 32, size=(8, 4))
+        pruned = _grads(tensors, lambda im: encode_image(visual, im, attachment),
+                        lambda tok: encode_text(text, tok), images, tokens)
+        full = _grads(tensors, lambda im: reference_encode_image(visual, im, attachment),
+                      lambda tok: reference_encode_text(text, tok), images, tokens)
+        # Gradients that vanish in exact arithmetic (the key biases) are
+        # rounding noise, so the absolute floor scales with the largest entry.
+        floor = GRAD_RTOL * max(np.abs(g).max() for g in full)
+        for t, got, want in zip(tensors, pruned, full):
+            np.testing.assert_allclose(got, want, rtol=GRAD_RTOL, atol=floor,
+                                       err_msg=repr(t))
+
+    def test_last_gelu_runs_on_readout_rows_only(self, monkeypatch):
+        shapes = []
+        activation = ad.elementwise_activation
+
+        def spy(a, kind):
+            if kind == "gelu":
+                shapes.append(a.shape)
+            return activation(a, kind)
+
+        monkeypatch.setattr(ad, "elementwise_activation", spy)
+        batch = 3
+        encode_image(init_encoder(VCFG, seed=0), np.zeros((batch, 16, 16, 1)))
+        assert shapes == [(batch, 17, 4 * VCFG.width), (batch, 4 * VCFG.width)]
+        shapes.clear()
+        encode_text(init_encoder(TCFG, seed=1), np.zeros((batch, 4), dtype=int) + 2)
+        assert shapes == [(batch, 6, 4 * TCFG.width), (batch, 4 * TCFG.width)]
