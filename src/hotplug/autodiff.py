@@ -12,7 +12,6 @@ broadcasting except bias addition over the last axis.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -28,9 +27,6 @@ from .errors import (
 EPSILON_NORM = 1e-12
 LAYER_NORM_EPS = 1e-5
 
-_ids = itertools.count()
-
-
 class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
@@ -39,14 +35,13 @@ class Tensor:
     is a constant, and no gradient is formed for it.
     """
 
-    __slots__ = ("values", "grad", "trainable", "needs_grad", "id")
+    __slots__ = ("values", "grad", "trainable", "needs_grad")
 
     def __init__(self, values, trainable: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
         self.trainable = bool(trainable)
         self.needs_grad = False
-        self.id = next(_ids)
 
     @property
     def shape(self):
@@ -62,20 +57,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, trainable={self.trainable})"
-
-    # Small conveniences; everything routes through the recorded primitives.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
 
 
 class Tape:
@@ -143,27 +124,20 @@ def backward(loss: Tensor):
     """
     if loss.values.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    grads = {loss.id: np.ones_like(loss.values)}
+    grads = {loss: np.ones_like(loss.values)}  # keyed by tensor identity
     for out, parents, vjp in reversed(_tape.records):
-        g = grads.pop(out.id, None)
+        g = grads.pop(out, None)
         if g is None:
             continue
         for parent, pg in zip(parents, vjp(g)):
             if pg is None or not _wants_grad(parent):
                 continue
-            acc = grads.get(parent.id)
-            grads[parent.id] = pg if acc is None else acc + pg
-    # Flush leaf gradients onto trainable tensors.
-    seen = set()
-    for out, parents, _ in _tape.records:
-        for parent in parents:
-            if parent.trainable and parent.id in grads and parent.id not in seen:
-                seen.add(parent.id)
-                g = grads[parent.id]
-                parent.grad = g.copy() if parent.grad is None else parent.grad + g
-    if loss.trainable:
-        loss.grad = (np.ones_like(loss.values) if loss.grad is None
-                     else loss.grad + np.ones_like(loss.values))
+            acc = grads.get(parent)
+            grads[parent] = pg if acc is None else acc + pg
+    # Every recorded output was popped above, so what is left are the leaves.
+    for leaf, g in grads.items():
+        if leaf.trainable:
+            leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
 
 
 # ---------------------------------------------------------------------------

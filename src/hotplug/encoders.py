@@ -1,10 +1,11 @@
 """Toy-scale dual encoders: a patch-based visual transformer and a text
 transformer, both projecting into a shared unit-normalized embedding space.
 
-Blocks are pre-norm with GELU feed-forwards (expansion 4x). All forwards are
-pure functions of the weights and inputs; normalization of the final embedding
-happens inside ``encode_*`` so downstream losses can treat dot products as
-cosine similarities.
+Each encoder is a per-modality stem (patches, CLS and positions; tokens and
+positions) feeding one shared trunk: pre-norm blocks with GELU feed-forwards
+(expansion 4x), then ``ln_f``, ``proj`` and unit-normalization of the readout
+row, so downstream losses can treat dot products as cosine similarities. All
+forwards are pure functions of the weights and inputs.
 """
 
 from __future__ import annotations
@@ -84,10 +85,9 @@ class TextEncoderConfig:
 class EncoderWeights:
     """Named parameter map for one encoder; order of creation is fixed."""
 
-    def __init__(self, config, params: dict[str, Tensor], kind: str):
+    def __init__(self, config, params: dict[str, Tensor]):
         self.config = config
         self.params = params
-        self.kind = kind  # "visual" | "text"
 
     def tensors(self):
         return self.params.values()
@@ -100,80 +100,71 @@ class EncoderWeights:
         return {name: t.values.copy() for name, t in self.params.items()}
 
 
-def _block_param_shapes(width: int):
-    k = width
-    f = FFN_EXPANSION * k
-    return {
+def _init_block(rng: np.random.Generator, params, prefix: str, width: int):
+    """A gain starts at 1, any other vector at 0; a matrix is N(0, 1/fan_in)."""
+    k, f = width, FFN_EXPANSION * width
+    shapes = {
         "ln1.gain": (k,), "ln1.bias": (k,),
         "attn.wq": (k, k), "attn.bq": (k,),
-        "attn.wk": (k, k), "attn.bk": (k,),
+        "attn.wk": (k, k),
         "attn.wv": (k, k), "attn.bv": (k,),
         "attn.wo": (k, k), "attn.bo": (k,),
         "ln2.gain": (k,), "ln2.bias": (k,),
         "ffn.w1": (k, f), "ffn.b1": (f,),
         "ffn.w2": (f, k), "ffn.b2": (k,),
     }
-
-
-def _init_block(rng: np.random.Generator, params, prefix: str, width: int):
-    for name, shape in _block_param_shapes(width).items():
-        full = f"{prefix}.{name}"
-        if name.endswith(".gain"):
-            values = np.ones(shape)
-        elif name.endswith((".bias", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2")):
-            values = np.zeros(shape)
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            values = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
         else:
-            fan_in = shape[0]
-            values = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
-        params[full] = Tensor(values)
+            values = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
+        params[f"{prefix}.{name}"] = Tensor(values)
 
 
 def init_encoder(config, seed: int) -> EncoderWeights:
     """Seeded weight initialization; same (config, seed) gives identical weights."""
     rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
+    k = config.width
+
+    def normal(*shape):
+        return Tensor(rng.normal(0.0, INIT_STD, size=shape))
+
     if isinstance(config, VisualEncoderConfig):
         spec = config.image_spec
-        k = config.width
-        params["patch_embed"] = Tensor(rng.normal(0.0, INIT_STD, size=(spec.patch_dim, k)))
-        params["patch_bias"] = Tensor(np.zeros(k))
-        params["cls_token"] = Tensor(rng.normal(0.0, INIT_STD, size=(k,)))
-        params["pos_embed"] = Tensor(
-            rng.normal(0.0, INIT_STD, size=(spec.num_patches + 1, k)))
-        for i in range(config.layers):
-            _init_block(rng, params, f"block{i}", k)
-        params["ln_f.gain"] = Tensor(np.ones(k))
-        params["ln_f.bias"] = Tensor(np.zeros(k))
-        params["proj"] = Tensor(rng.normal(0.0, INIT_STD, size=(k, config.embed_dim)))
-        return EncoderWeights(config, params, "visual")
-    if isinstance(config, TextEncoderConfig):
-        k = config.width
-        params["tok_embed"] = Tensor(rng.normal(0.0, INIT_STD, size=(config.vocab_size, k)))
-        params["pos_embed"] = Tensor(rng.normal(0.0, INIT_STD, size=(config.max_len, k)))
-        for i in range(config.layers):
-            _init_block(rng, params, f"block{i}", k)
-        params["ln_f.gain"] = Tensor(np.ones(k))
-        params["ln_f.bias"] = Tensor(np.zeros(k))
-        params["proj"] = Tensor(rng.normal(0.0, INIT_STD, size=(k, config.embed_dim)))
-        return EncoderWeights(config, params, "text")
-    raise ConfigError(f"unknown encoder config type: {type(config).__name__}")
+        params = {"patch_embed": normal(spec.patch_dim, k),
+                  "patch_bias": Tensor(np.zeros(k)),
+                  "cls_token": normal(k),
+                  "pos_embed": normal(spec.num_patches + 1, k)}
+    elif isinstance(config, TextEncoderConfig):
+        params = {"tok_embed": normal(config.vocab_size, k),
+                  "pos_embed": normal(config.max_len, k)}
+    else:
+        raise ConfigError(f"unknown encoder config type: {type(config).__name__}")
+    for i in range(config.layers):
+        _init_block(rng, params, f"block{i}", k)
+    params["ln_f.gain"] = Tensor(np.ones(k))
+    params["ln_f.bias"] = Tensor(np.zeros(k))
+    params["proj"] = normal(k, config.embed_dim)
+    return EncoderWeights(config, params)
+
+
+def _trunk_param_count(config) -> int:
+    k, d = config.width, config.embed_dim
+    f = FFN_EXPANSION * k
+    block = 4 * k + 4 * k * k + 3 * k + (k * f + f) + (f * k + k)
+    return config.layers * block + 2 * k + k * d
 
 
 def visual_param_count(config: VisualEncoderConfig) -> int:
     """Closed-form parameter count (checked against enumeration in tests)."""
-    spec, k, d = config.image_spec, config.width, config.embed_dim
-    f = FFN_EXPANSION * k
-    block = 4 * k + 4 * (k * k + k) + (k * f + f) + (f * k + k)
+    spec, k = config.image_spec, config.width
     return (spec.patch_dim * k + k + k + (spec.num_patches + 1) * k
-            + config.layers * block + 2 * k + k * d)
+            + _trunk_param_count(config))
 
 
 def text_param_count(config: TextEncoderConfig) -> int:
-    k, d = config.width, config.embed_dim
-    f = FFN_EXPANSION * k
-    block = 4 * k + 4 * (k * k + k) + (k * f + f) + (f * k + k)
-    return (config.vocab_size * k + config.max_len * k
-            + config.layers * block + 2 * k + k * d)
+    k = config.width
+    return config.vocab_size * k + config.max_len * k + _trunk_param_count(config)
 
 
 def patchify(image, spec: ImageSpec) -> Tensor:
@@ -207,7 +198,7 @@ def _attention(params, prefix: str, x: Tensor, heads: int, attachment=None,
     if attachment is not None:
         wq, wv = attachment.qv_weights(layer, wq, wv)
     q = ad.add(ad.matmul(x, wq), params[f"{prefix}.attn.bq"])
-    kk = ad.add(ad.matmul(x, params[f"{prefix}.attn.wk"]), params[f"{prefix}.attn.bk"])
+    kk = ad.matmul(x, params[f"{prefix}.attn.wk"])  # no key bias: the softmax cancels it
     v = ad.add(ad.matmul(x, wv), params[f"{prefix}.attn.bv"])
 
     def split(h):
@@ -222,17 +213,22 @@ def _attention(params, prefix: str, x: Tensor, heads: int, attachment=None,
                   params[f"{prefix}.attn.bo"])
 
 
-def _transformer_blocks(weights: EncoderWeights, x: Tensor, heads: int, readout: int,
-                        attachment=None, collect=None) -> Tensor:
-    params = weights.params
-    for i in range(weights.config.layers):
+def _trunk(weights: EncoderWeights, x: Tensor, readout: int, single: bool,
+           attachment=None, collect=None) -> Tensor:
+    """The blocks, then ``ln_f``, ``proj`` and unit-normalization of row ``readout``.
+
+    The last block keeps only that row after its attention residual, so its FFN
+    runs on (B, width). The embedding is (d,) when ``single``, else (B, d).
+    """
+    cfg, params = weights.config, weights.params
+    for i in range(cfg.layers):
         p = f"block{i}"
         a_in = ad.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        a_out = _attention(params, p, a_in, heads, attachment, i)
+        a_out = _attention(params, p, a_in, cfg.heads, attachment, i)
         if attachment is not None:
             a_out = attachment.apply_adapter(i, "attn", a_out)
         x = ad.add(x, a_out)
-        if i == weights.config.layers - 1:  # only the readout row reaches the embedding
+        if i == cfg.layers - 1:  # only the readout row reaches the embedding
             x = ad.index_select(x, 1, readout)
         f_in = ad.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
         h = ad.add(ad.matmul(f_in, params[f"{p}.ffn.w1"]), params[f"{p}.ffn.b1"])
@@ -243,7 +239,9 @@ def _transformer_blocks(weights: EncoderWeights, x: Tensor, heads: int, readout:
         x = ad.add(x, h)
         if collect is not None:
             collect.append(x.values.copy())
-    return x
+    head = ad.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
+    emb = ad.l2_normalize_rows(ad.matmul(head, params["proj"]))
+    return ad.reshape(emb, (cfg.embed_dim,)) if single else emb
 
 
 def encode_image(weights: EncoderWeights, images, attachment=None,
@@ -255,9 +253,9 @@ def encode_image(weights: EncoderWeights, images, attachment=None,
     (B, T, width) for every block but the last, whose entry is the CLS row
     alone, (B, width).
     """
-    if weights.kind != "visual":
+    if not isinstance(weights.config, VisualEncoderConfig):
         raise ConfigError("encode_image requires visual weights")
-    cfg: VisualEncoderConfig = weights.config
+    cfg = weights.config
     spec = cfg.image_spec
     images = np.asarray(images, dtype=np.float64)
     single = images.ndim == 3
@@ -267,26 +265,17 @@ def encode_image(weights: EncoderWeights, images, attachment=None,
         raise DimensionError(
             f"image batch shape {images.shape} does not match spec "
             f"({spec.height}, {spec.width}, {spec.channels})")
-    b = images.shape[0]
+    b, t, k = images.shape[0], spec.num_patches + 1, cfg.width
     params = weights.params
     patches = Tensor(_patchify_batch(images, spec))
     x = ad.add(ad.matmul(patches, params["patch_embed"]), params["patch_bias"])
-    cls = ad.broadcast_to(ad.reshape(params["cls_token"], (1, 1, cfg.width)),
-                          (b, 1, cfg.width))
+    cls = ad.broadcast_to(ad.reshape(params["cls_token"], (1, 1, k)), (b, 1, k))
     x = ad.concat([cls, x], axis=1)
-    pos = ad.broadcast_to(ad.reshape(params["pos_embed"],
-                                     (1, spec.num_patches + 1, cfg.width)),
-                          (b, spec.num_patches + 1, cfg.width))
+    pos = ad.broadcast_to(ad.reshape(params["pos_embed"], (1, t, k)), (b, t, k))
     x = ad.add(x, pos)
     collect = [] if return_blocks else None
-    x = _transformer_blocks(weights, x, cfg.heads, 0, attachment, collect)  # CLS row
-    head = ad.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
-    emb = ad.l2_normalize_rows(ad.matmul(head, params["proj"]))
-    if single:
-        emb = ad.reshape(emb, (cfg.embed_dim,))
-    if return_blocks:
-        return emb, collect
-    return emb
+    emb = _trunk(weights, x, 0, single, attachment, collect)  # CLS row
+    return (emb, collect) if return_blocks else emb
 
 
 def encode_chunked(encode, inputs) -> np.ndarray:
@@ -304,9 +293,9 @@ def encode_text(weights: EncoderWeights, tokens) -> Tensor:
     The final-layer hidden state at the SEP position is projected and
     unit-normalized.
     """
-    if weights.kind != "text":
+    if not isinstance(weights.config, TextEncoderConfig):
         raise ConfigError("encode_text requires text weights")
-    cfg: TextEncoderConfig = weights.config
+    cfg = weights.config
     tokens = np.asarray(tokens)
     single = tokens.ndim == 1
     if single:
@@ -323,15 +312,10 @@ def encode_text(weights: EncoderWeights, tokens) -> Tensor:
         tokens,
         np.full((b, 1), cfg.sep_id, dtype=tokens.dtype),
     ], axis=1)
-    seq = t + 2
+    seq, k = t + 2, cfg.width
     params = weights.params
     x = ad.embedding_lookup(params["tok_embed"], full)
     pos_rows = ad.embedding_lookup(params["pos_embed"], np.arange(seq))
-    pos = ad.broadcast_to(ad.reshape(pos_rows, (1, seq, cfg.width)), (b, seq, cfg.width))
+    pos = ad.broadcast_to(ad.reshape(pos_rows, (1, seq, k)), (b, seq, k))
     x = ad.add(x, pos)
-    x = _transformer_blocks(weights, x, cfg.heads, seq - 1)  # SEP row
-    head = ad.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
-    emb = ad.l2_normalize_rows(ad.matmul(head, params["proj"]))
-    if single:
-        emb = ad.reshape(emb, (cfg.embed_dim,))
-    return emb
+    return _trunk(weights, x, seq - 1, single)  # SEP row

@@ -59,10 +59,6 @@ class DownstreamHead:
     bias: np.ndarray    # (num_classes,)
     trained_on: str     # "old" | "new"
 
-    @property
-    def num_classes(self) -> int:
-        return self.weight.shape[1]
-
 
 def train_head(features, labels, num_classes: int, seed: int,
                steps: int = 300, lr: float = 0.05, trained_on: str = "old") -> DownstreamHead:

@@ -41,9 +41,6 @@ class Adapter:
         self.w_up = Tensor(np.zeros((bottleneck, width)), trainable=True)
         self.b_up = Tensor(np.zeros(width), trainable=True)
 
-    def tensors(self):
-        return [self.w_down, self.b_down, self.w_up, self.b_up]
-
 
 def adapter_forward(adapter: Adapter, x: Tensor) -> Tensor:
     if not x.shape or x.shape[-1] != adapter.width:
@@ -77,9 +74,6 @@ class DimensionProjector:
         self.b2 = Tensor(rng.normal(0.0, PROJECTOR_INIT_STD, size=dim_old),
                          trainable=True)
 
-    def tensors(self):
-        return [self.w1, self.b1, self.w2, self.b2]
-
 
 def projector_forward(projector: DimensionProjector, v: Tensor) -> Tensor:
     if not v.shape or v.shape[-1] != projector.dim_new:
@@ -112,9 +106,6 @@ class LoRAModule:
         self.a = Tensor(rng.normal(0.0, PROJECTOR_INIT_STD, size=(m, rank)),
                         trainable=True)
         self.b = Tensor(np.zeros((rank, n)), trainable=True)
-
-    def tensors(self):
-        return [self.a, self.b]
 
     def effective_weight(self) -> Tensor:
         delta = ad.scale(ad.matmul(self.a, self.b), self.alpha / self.rank)
@@ -221,7 +212,7 @@ def attach_taca(new_encoder: EncoderWeights, config: TacaConfig, dim_old: int,
     Up-projections start at zero, so apart from the projector the composed
     encoder initially reproduces the unadapted forward bitwise.
     """
-    if new_encoder.kind != "visual":
+    if not isinstance(new_encoder.config, VisualEncoderConfig):
         raise ConfigError("attach_taca requires a visual encoder")
     cfg: VisualEncoderConfig = new_encoder.config
     layers = config.resolve_layers(cfg.layers)
@@ -229,9 +220,6 @@ def attach_taca(new_encoder: EncoderWeights, config: TacaConfig, dim_old: int,
     new_encoder.set_trainable(False)
     adapters, loras = {}, {}
     if config.variant == "adapter":
-        if not config.bottleneck < cfg.width:
-            raise ConfigError(
-                f"bottleneck {config.bottleneck} must be < encoder width {cfg.width}")
         sites = ("ffn",) if config.adapters_per_block == 1 else ("attn", "ffn")
         for layer in layers:
             for site in sites:

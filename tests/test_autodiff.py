@@ -147,6 +147,13 @@ class TestBackward:
             ad.backward(loss)
         assert x.grad is None
 
+    def test_trainable_loss_that_is_also_a_parent_counts_once(self):
+        with ad.new_tape():
+            x = Tensor(3.0, trainable=True)
+            ad.scale(x, 2.0)
+            ad.backward(x)
+        assert x.grad == 1.0
+
     def test_non_scalar_loss_rejected(self):
         with ad.new_tape():
             x = Tensor([1.0, 2.0], trainable=True)

@@ -217,6 +217,44 @@ class TestPretrainClip:
             assert np.array_equal(t.values, old.tensors[f"visual/{name}"])
 
 
+def with_key_biases(tensors: dict, prefix: str, layers: int, width: int) -> dict:
+    """``tensors`` with a ``{prefix}/block{i}.attn.bk`` after each key weight, as
+    checkpoints written before the key bias left the block layout carry."""
+    rng = np.random.default_rng(7)
+    out = {}
+    for name, values in tensors.items():
+        out[name] = values
+        for i in range(layers):
+            if name == f"{prefix}/block{i}.attn.wk":
+                out[f"{prefix}/block{i}.attn.bk"] = rng.normal(0.0, 1e-11, size=width)
+    return out
+
+
+class TestLegacyCheckpoint:
+    def test_key_bias_tensors_are_ignored(self, tmp_path):
+        ds, old, new = small_clip_pair()
+        taca, _ = train_taca(old, new, TacaConfig(bottleneck=4), ds, FAST)
+        legacy_old = with_key_biases(old.tensors, "visual", OLD_VCFG.layers, OLD_VCFG.width)
+        legacy_old = with_key_biases(legacy_old, "text", TCFG.layers, TCFG.width)
+        legacy_taca = with_key_biases(taca.tensors, "backbone", NEW_VCFG.layers,
+                                      NEW_VCFG.width)
+        assert len(legacy_old) == len(old.tensors) + OLD_VCFG.layers + TCFG.layers
+        for name, meta, tensors in (("old", old.meta, legacy_old),
+                                    ("taca", taca.meta, legacy_taca)):
+            save_checkpoint(Checkpoint(meta, tensors), tmp_path / f"{name}.tack")
+        visual, text, tau = clip_encoders_from_checkpoint(load_checkpoint(tmp_path / "old.tack"))
+        want_visual, want_text, want_tau = clip_encoders_from_checkpoint(old)
+        _, adapted = attachment_from_checkpoint(load_checkpoint(tmp_path / "taca.tack"))
+        _, want_adapted = attachment_from_checkpoint(taca)
+        assert tau == want_tau
+        for got, want in ((visual, want_visual), (text, want_text),
+                          (adapted.weights, want_adapted.weights)):
+            assert got.params.keys() == want.params.keys()
+            assert not any(name.endswith("attn.bk") for name in got.params)
+            for name, t in got.params.items():
+                assert np.array_equal(t.values, want.params[name].values), name
+
+
 class TestTapePruning:
     """A frozen backbone is neither recorded nor differentiated, and the
     gradients that reach the attachment do not change because of it."""
