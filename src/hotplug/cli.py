@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import sys
 
 from . import config as cfg_mod
@@ -22,6 +24,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ORDERING = 3
 EXIT_IO = 4
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 
 # Pretraining seeds are offset per role so the two latent spaces genuinely
 # differ; the new encoder also gets a longer step budget.
@@ -191,7 +194,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def keep_temporaries_in_heap() -> None:
+    """Keep freed temporaries in glibc's heap, not faulted in again every step. Every
+    glibc takes a 32 MiB mmap threshold; a trim one set alone would pin it at 128 KiB."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None and mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1:
+        mallopt(M_TRIM_THRESHOLD, 128 << 20)
+
+
 def main(argv=None) -> int:
+    keep_temporaries_in_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

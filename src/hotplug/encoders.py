@@ -20,7 +20,9 @@ from .errors import ConfigError, DimensionError, ParameterError, check_fields
 
 FFN_EXPANSION = 4
 INIT_STD = 0.02
-ENCODE_CHUNK = 64  # features depend bitwise on the chunking, so all share it
+# Rows per no-grad encode. Chunks of 2 to 256 rows give bitwise-equal features
+# (OpenBLAS, default encoders); only a 1-row chunk, numpy's GEMV path, differs.
+ENCODE_CHUNK = 64
 
 
 @dataclass(frozen=True)
