@@ -21,7 +21,8 @@ from .errors import ConfigError, DimensionError, ParameterError, check_fields
 FFN_EXPANSION = 4
 INIT_STD = 0.02
 # Rows per no-grad encode. Chunks of 2 to 256 rows give bitwise-equal features
-# (OpenBLAS, default encoders); only a 1-row chunk, numpy's GEMV path, differs.
+# (OpenBLAS, default encoders); a 1-row chunk, numpy's GEMV path, differs, so
+# encode_chunked folds a 1-row tail into the chunk before it (64 + 1 rows).
 ENCODE_CHUNK = 64
 
 
@@ -282,9 +283,9 @@ def encode_image(weights: EncoderWeights, images, attachment=None,
 
 def encode_chunked(encode, inputs) -> np.ndarray:
     """``encode``'s Tensor or array values, ENCODE_CHUNK rows at a time, under no_grad."""
-    with ad.no_grad():
-        chunks = [encode(inputs[start:start + ENCODE_CHUNK])
-                  for start in range(0, inputs.shape[0], ENCODE_CHUNK)]
+    stops = [*range(ENCODE_CHUNK, inputs.shape[0] - 1, ENCODE_CHUNK), inputs.shape[0]]
+    with ad.no_grad():  # no 1-row chunk unless the input has 1 row
+        chunks = [encode(inputs[a:b]) for a, b in zip([0, *stops], stops)]
     return np.concatenate([c.values if isinstance(c, Tensor) else c
                            for c in chunks], axis=0)
 

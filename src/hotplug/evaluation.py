@@ -42,14 +42,11 @@ def recall_at_k(query_feats, gallery_feats, ground_truth, k: int) -> float:
     if not 1 <= k <= gallery.shape[0]:
         raise ParameterError(f"k={k} out of range 1..{gallery.shape[0]}")
     sims = query @ gallery.T
-    hits = 0
-    for i in range(query.shape[0]):
-        row = sims[i]
-        t = truth[i]
-        # rank = better-scoring items, counting equal scores at lower index
-        rank = int((row > row[t]).sum() + (row[:t] == row[t]).sum())
-        hits += rank < k
-    return hits / query.shape[0]
+    # rank = better-scoring items, counting equal scores at lower index
+    t = sims[np.arange(query.shape[0]), truth][:, None]
+    tied_before = (sims == t) & (np.arange(gallery.shape[0]) < truth[:, None])
+    rank = (sims > t).sum(axis=1) + tied_before.sum(axis=1)
+    return int((rank < k).sum()) / query.shape[0]
 
 
 @dataclass
@@ -60,34 +57,41 @@ class DownstreamHead:
     trained_on: str     # "old" | "new"
 
 
-def train_head(features, labels, num_classes: int, seed: int,
-               steps: int = 300, lr: float = 0.05, trained_on: str = "old") -> DownstreamHead:
-    """Softmax cross-entropy on frozen features with full-batch AdamW."""
+def train_head(features, labels, num_classes: int, seeds, steps: int = 300,
+               lr: float = 0.05, trained_on: str = "old") -> list[DownstreamHead]:
+    """Softmax cross-entropy heads on frozen features, one per seed, with
+    full-batch AdamW. The seeds train as one stack on the closed-form gradient,
+    in the tape's op order, so each head is bitwise equal to its seed alone."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     n, d = features.shape
+    if len(seeds) == 0:
+        raise ConfigError("head training needs at least one seed")
+    if n != labels.shape[0]:
+        raise ContractError(f"features/labels disagree: {n} vs {labels.shape[0]}")
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ConfigError("labels out of range")
     if np.unique(labels).size < 2:
         raise ConfigError("head training needs at least two classes present")
     if n < num_classes:
         raise ConfigError(f"need at least {num_classes} samples, got {n}")
-    rng = np.random.default_rng(seed)
-    w = ad.Tensor(rng.normal(0.0, 0.02, size=(d, num_classes)), trainable=True)
-    b = ad.Tensor(np.zeros(num_classes), trainable=True)
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), labels] = 1.0
-    x = ad.Tensor(features)
+    w = ad.Tensor(np.stack([np.random.default_rng(s).normal(0.0, 0.02, size=(d, num_classes))
+                            for s in seeds]), trainable=True)  # (S, d, C)
+    b = ad.Tensor(np.zeros((len(seeds), 1, num_classes)), trainable=True)
+    g0 = np.zeros((n, num_classes))  # d(loss)/d(logp) = -onehot / n at every step
+    g0[np.arange(n), labels] = -1.0 / n
+    g0_sum = g0.sum(axis=-1, keepdims=True)
     opt = AdamW([w, b], lr=lr, weight_decay=0.0)
     for _ in range(steps):
-        with ad.new_tape():
-            logits = ad.add(ad.matmul(x, w), b)
-            logp = ad.log_softmax_rows(logits)
-            loss = ad.scale(ad.sum_all(ad.mul_const(logp, onehot)), -1.0 / n)
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
-    return DownstreamHead(w.values.copy(), b.values.copy(), trained_on)
+        z = features @ w.values + b.values  # (S, n, C) logits
+        z -= z.max(axis=-1, keepdims=True)
+        z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))  # log-softmax
+        g = g0 - np.exp(z) * g0_sum  # d(loss)/d(logits)
+        b.grad = g.sum(axis=1, keepdims=True)
+        w.grad = features.T @ g
+        opt.step()
+    return [DownstreamHead(w_s.copy(), b_s[0].copy(), trained_on)
+            for w_s, b_s in zip(w.values, b.values)]
 
 
 def eval_top1(head: DownstreamHead, features, labels) -> float:
@@ -198,24 +202,19 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
                            m_new_new, [], digests, {})
 
     half = n // 2
-    head_labels, eval_labels = labels[:half], labels[half:]
+    heads = lambda feats, role: train_head(feats[:half], labels[:half], NUM_FACTORS,
+                                           seeds=head_seeds, trained_on=role)
+    top1 = lambda head, feats: eval_top1(head, feats[half:], labels[half:])
     per_seed = {"m_old_old": [], "m_old_new": [], "m_new_new": []}
-    for seed in head_seeds:
-        head_old = train_head(old_feats[:half], head_labels, NUM_FACTORS,
-                              seed=seed, trained_on="old")
-        frozen = (head_old.weight.copy(), head_old.bias.copy())
-        per_seed["m_old_old"].append(eval_top1(head_old, old_feats[half:],
-                                               eval_labels))
-        per_seed["m_old_new"].append(eval_top1(head_old, adapted_feats[half:],
-                                               eval_labels))
-        if not (np.array_equal(frozen[0], head_old.weight)
-                and np.array_equal(frozen[1], head_old.bias)):
+    for head in heads(old_feats, "old"):
+        frozen = (head.weight.copy(), head.bias.copy())
+        per_seed["m_old_old"].append(top1(head, old_feats))
+        per_seed["m_old_new"].append(top1(head, adapted_feats))
+        if not (np.array_equal(frozen[0], head.weight)
+                and np.array_equal(frozen[1], head.bias)):
             raise ContractError("old head mutated during hot-plug evaluation")
-        if new_ckpt is not None:
-            head_new = train_head(new_feats[:half], head_labels, NUM_FACTORS,
-                                  seed=seed, trained_on="new")
-            per_seed["m_new_new"].append(eval_top1(head_new, new_feats[half:],
-                                                   eval_labels))
+    if new_ckpt is not None:
+        per_seed["m_new_new"] = [top1(head, new_feats) for head in heads(new_feats, "new")]
     med = lambda xs: float(np.median(xs)) if xs else None
     return make_report("classification", "top1", med(per_seed["m_old_old"]),
                        med(per_seed["m_old_new"]), med(per_seed["m_new_new"]),

@@ -4,10 +4,12 @@ import pytest
 from hotplug import autodiff as ad
 from hotplug.autodiff import Tensor
 from hotplug.encoders import (
+    ENCODE_CHUNK,
     EncoderWeights,
     ImageSpec,
     TextEncoderConfig,
     VisualEncoderConfig,
+    encode_chunked,
     encode_image,
     encode_text,
     init_encoder,
@@ -301,3 +303,31 @@ class TestReadoutPruning:
         shapes.clear()
         encode_text(init_encoder(TCFG, seed=1), np.zeros((batch, 4), dtype=int) + 2)
         assert shapes == [(batch, 6, 4 * TCFG.width), (batch, 4 * TCFG.width)]
+
+
+class TestEncodeChunked:
+    def test_a_one_row_tail_joins_the_chunk_before_it(self):
+        c = ENCODE_CHUNK
+        expected = {1: [1], 2: [2], c: [c], c + 1: [c + 1], 2 * c: [c, c],
+                    2 * c + 1: [c, c + 1], 2 * c + 2: [c, c, 2]}
+        for n, want in expected.items():
+            sizes = []
+
+            def record(x):
+                sizes.append(x.shape[0])
+                return x
+
+            assert encode_chunked(record, np.zeros((n, 1))).shape == (n, 1)
+            assert sizes == want, n
+
+    def test_tail_row_bitwise_equal_to_larger_split(self):
+        # 129 = 2 * ENCODE_CHUNK + 1 rows: the last row is encoded in a
+        # 65-row chunk, not alone through the 1-row (GEMV) path.
+        rng = np.random.default_rng(11)
+        visual, text = init_encoder(VCFG, seed=0), init_encoder(TCFG, seed=1)
+        images = rng.uniform(size=(192, 16, 16, 1))
+        tokens = rng.integers(2, 32, size=(192, 4))
+        for encode, inputs in ((lambda x: encode_image(visual, x), images),
+                               (lambda t: encode_text(text, t), tokens)):
+            whole = encode_chunked(encode, inputs)
+            assert np.array_equal(encode_chunked(encode, inputs[:129]), whole[:129])

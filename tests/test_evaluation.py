@@ -24,6 +24,7 @@ from hotplug.evaluation import (
     train_head,
 )
 from hotplug.training import (
+    AdamW,
     TrainConfig,
     attachment_from_checkpoint,
     clip_encoders_from_checkpoint,
@@ -91,11 +92,56 @@ class TestRecallAtK:
         assert recall_at_k(queries, gallery, np.array([0]), 1) == 1.0
         assert recall_at_k(queries, gallery, np.array([1]), 1) == 0.0
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_per_query_loop_with_exact_ties(self, k):
+        rng = np.random.default_rng(7)
+        distinct = unit_rows(rng.normal(size=(4, 3)))
+        gallery = distinct[[0, 1, 0, 2, 1, 3, 0, 2]]  # exact duplicate rows
+        queries = np.concatenate([distinct, unit_rows(rng.normal(size=(26, 3)))])
+        truth = rng.integers(0, len(gallery), size=len(queries))
+        sims = queries @ gallery.T
+        hits = 0
+        for i in range(len(queries)):
+            row, t = sims[i], truth[i]
+            hits += int((row > row[t]).sum() + (row[:t] == row[t]).sum()) < k
+        assert recall_at_k(queries, gallery, truth, k) == hits / len(queries)
+        assert 0.0 < hits < len(queries)
+
     def test_k_out_of_range(self):
         with pytest.raises(ParameterError):
             recall_at_k(self.GALLERY, self.GALLERY, np.arange(3), 0)
         with pytest.raises(ParameterError):
             recall_at_k(self.GALLERY, self.GALLERY, np.arange(3), 4)
+
+
+def tape_train_head(features, labels, num_classes: int, seed: int,
+                    steps: int = 300, lr: float = 0.05, trained_on: str = "old") -> DownstreamHead:
+    """Softmax cross-entropy on frozen features with full-batch AdamW."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    n, d = features.shape
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ConfigError("labels out of range")
+    if np.unique(labels).size < 2:
+        raise ConfigError("head training needs at least two classes present")
+    if n < num_classes:
+        raise ConfigError(f"need at least {num_classes} samples, got {n}")
+    rng = np.random.default_rng(seed)
+    w = ad.Tensor(rng.normal(0.0, 0.02, size=(d, num_classes)), trainable=True)
+    b = ad.Tensor(np.zeros(num_classes), trainable=True)
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), labels] = 1.0
+    x = ad.Tensor(features)
+    opt = AdamW([w, b], lr=lr, weight_decay=0.0)
+    for _ in range(steps):
+        with ad.new_tape():
+            logits = ad.add(ad.matmul(x, w), b)
+            logp = ad.log_softmax_rows(logits)
+            loss = ad.scale(ad.sum_all(ad.mul_const(logp, onehot)), -1.0 / n)
+            opt.zero_grad()
+            ad.backward(loss)
+            opt.step()
+    return DownstreamHead(w.values.copy(), b.values.copy(), trained_on)
 
 
 class TestTrainHead:
@@ -108,30 +154,66 @@ class TestTrainHead:
 
     def test_separable_two_class(self):
         feats, labels = self.separable_blobs()
-        head = train_head(feats, labels, 2, seed=0)
+        [head] = train_head(feats, labels, 2, seeds=(0,))
         assert eval_top1(head, feats, labels) == 1.0
 
     def test_deterministic(self):
         feats, labels = self.separable_blobs()
-        a = train_head(feats, labels, 2, seed=4)
-        b = train_head(feats, labels, 2, seed=4)
+        [a] = train_head(feats, labels, 2, seeds=(4,))
+        [b] = train_head(feats, labels, 2, seeds=(4,))
         assert np.array_equal(a.weight, b.weight)
         assert np.array_equal(a.bias, b.bias)
+
+    @pytest.mark.parametrize("n, d, num_classes, seeds", [
+        (512, 16, 64, (0, 1, 2)), (512, 24, 64, (0, 1, 2)),
+        (128, 24, 64, (5, 0, 9, 2)), (40, 2, 2, (4,)), (257, 7, 13, (3, 3))])
+    def test_stacked_heads_bitwise_equal_to_one_tape_head_per_seed(
+            self, n, d, num_classes, seeds):
+        rng = np.random.default_rng(n + d)
+        feats = unit_rows(rng.normal(size=(n, d)))
+        labels = rng.permutation(np.arange(n) % num_classes)
+        heads = train_head(feats, labels, num_classes, seeds=seeds, trained_on="new")
+        assert len(heads) == len(seeds)
+        for seed, head in zip(seeds, heads):
+            want = tape_train_head(feats, labels, num_classes, seed=seed)
+            assert head.weight.shape == (d, num_classes)
+            assert head.bias.shape == (num_classes,)
+            assert np.array_equal(head.weight, want.weight), seed
+            assert np.array_equal(head.bias, want.bias), seed
+            assert head.trained_on == "new"
+
+    def test_records_nothing_on_the_tape(self, monkeypatch):
+        def no_record(*args):
+            raise AssertionError("train_head recorded a tape entry")
+
+        monkeypatch.setattr(ad, "_record", no_record)
+        feats, labels = self.separable_blobs()
+        train_head(feats, labels, 2, seeds=(0, 1))
+
+    def test_no_seeds_rejected(self):
+        feats, labels = self.separable_blobs()
+        with pytest.raises(ConfigError, match="at least one seed"):
+            train_head(feats, labels, 2, seeds=())
+
+    def test_length_mismatch_rejected(self):
+        feats, labels = self.separable_blobs()
+        with pytest.raises(ContractError, match="features/labels disagree: 39 vs 40"):
+            train_head(feats[:-1], labels, 2, seeds=(0,))
 
     def test_single_class_rejected(self):
         feats = np.random.default_rng(0).normal(size=(8, 2))
         with pytest.raises(ConfigError):
-            train_head(feats, np.zeros(8, dtype=int), 2, seed=0)
+            train_head(feats, np.zeros(8, dtype=int), 2, seeds=(0,))
 
     def test_too_few_samples(self):
         feats = np.random.default_rng(0).normal(size=(3, 2))
         with pytest.raises(ConfigError):
-            train_head(feats, np.array([0, 1, 2]), 4, seed=0)
+            train_head(feats, np.array([0, 1, 2]), 4, seeds=(0,))
 
     def test_inputs_not_mutated(self):
         feats, labels = self.separable_blobs()
         before = feats.copy()
-        train_head(feats, labels, 2, seed=0)
+        train_head(feats, labels, 2, seeds=(0,))
         assert np.array_equal(feats, before)
 
 
@@ -270,14 +352,14 @@ class TestHotPlugReport:
         new_enc = lambda x: encode_image(new_visual, x)
         expected = {"m_old_old": [], "m_old_new": [], "m_new_new": []}
         for seed in seeds:
-            head_old = train_head(features(old_enc, head_x), head_y,
-                                  NUM_FACTORS, seed=seed)
+            [head_old] = train_head(features(old_enc, head_x), head_y,
+                                    NUM_FACTORS, seeds=(seed,))
             expected["m_old_old"].append(
                 eval_top1(head_old, features(old_enc, eval_x), eval_y))
             expected["m_old_new"].append(
                 eval_top1(head_old, features(adapted.encode, eval_x), eval_y))
-            head_new = train_head(features(new_enc, head_x), head_y,
-                                  NUM_FACTORS, seed=seed, trained_on="new")
+            [head_new] = train_head(features(new_enc, head_x), head_y,
+                                    NUM_FACTORS, seeds=(seed,), trained_on="new")
             expected["m_new_new"].append(
                 eval_top1(head_new, features(new_enc, eval_x), eval_y))
         assert report.per_seed == expected
