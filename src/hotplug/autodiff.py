@@ -369,6 +369,8 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
     if np.any(norms < EPSILON_NORM):
         raise DegenerateVectorError(
             f"l2_normalize_rows: row norm below {EPSILON_NORM}")
+    if not np.isfinite(norms).all():  # an overflowed or NaN row
+        raise DegenerateVectorError("l2_normalize_rows: row norm is not finite")
     y = a.values / norms
     out = Tensor(y)
 

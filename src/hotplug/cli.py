@@ -16,7 +16,7 @@ import sys
 from . import config as cfg_mod
 from . import verify
 from .data import generate_dataset, load_dataset, save_dataset
-from .errors import ConfigError, FormatError, HotplugError
+from .errors import ConfigError, FormatError, HotplugError, checked
 from .evaluation import hot_plug_report
 from .training import load_checkpoint, pretrain_clip, save_checkpoint, train_taca
 
@@ -31,12 +31,8 @@ M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 NEW_ROLE_SEED_OFFSET = 1000
 
 
-def _load_config(path):
-    return cfg_mod.load_config(path) if path else cfg_mod.resolve_config()
-
-
 def cmd_gen_data(args) -> int:
-    config = _load_config(args.config)
+    config = cfg_mod.load_config(args.config)
     if args.n is not None:
         config["data"]["n"] = args.n
     if args.seed is not None:
@@ -51,13 +47,14 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    config = _load_config(args.config)
+    config = cfg_mod.load_config(args.config)
     digest = cfg_mod.config_digest(config)
     dataset = load_dataset(args.data)
     visual_cfg = cfg_mod.visual_config_from(config, args.role)
     text_cfg = cfg_mod.text_config_from(config, args.role)
-    steps = config[f"{args.role}_encoder"]["pretrain_steps"]
-    seed = config["train"]["seed"]
+    steps = checked(config[f"{args.role}_encoder"]["pretrain_steps"], int,
+                    f"{args.role}_encoder.pretrain_steps")
+    seed = checked(config["train"]["seed"], int, "train.seed", 0)
     if args.role == "new":
         seed += NEW_ROLE_SEED_OFFSET
     if args.seed is not None:
@@ -73,7 +70,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train_taca(args) -> int:
-    config = _load_config(args.config)
+    config = cfg_mod.load_config(args.config)
     digest = cfg_mod.config_digest(config)
     dataset = load_dataset(args.data)
     old_ckpt = load_checkpoint(args.old)
@@ -109,7 +106,7 @@ def _check_digests(old_ckpt, new_ckpt, taca_ckpt, force: bool):
 
 
 def cmd_eval_compat(args) -> int:
-    settings = cfg_mod.eval_settings_from(_load_config(args.config))
+    settings = cfg_mod.eval_settings_from(cfg_mod.load_config(args.config))
     dataset = load_dataset(args.data)
     old_ckpt = load_checkpoint(args.old)
     taca_ckpt = load_checkpoint(args.taca)
@@ -127,19 +124,11 @@ def cmd_eval_compat(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "gradcheck":
-        results = verify.run_gradcheck_suite()
-        fmt = lambda value: f"max_rel_err={value:.3e}"
-    elif args.suite == "params":
-        results = verify.run_params_suite()
-        fmt = lambda value: f"exact_count={value}"
-    else:
-        results = verify.run_losses_suite()
-        fmt = lambda value: f"value={value:.9f}"
+    run, fmt = verify.SUITES[args.suite]
     all_ok = True
-    for name, value, ok in results:
+    for name, value, ok in run():
         all_ok &= ok
-        print(f"{'PASS' if ok else 'FAIL'} {name} {fmt(value)}")
+        print(f"{'PASS' if ok else 'FAIL'} {name} {fmt.format(value)}")
     return EXIT_OK if all_ok else EXIT_ORDERING
 
 
@@ -188,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_compat)
 
     p = sub.add_parser("verify", help="run a self-check suite")
-    p.add_argument("--suite", choices=["gradcheck", "params", "losses"],
-                   required=True)
+    p.add_argument("--suite", choices=list(verify.SUITES), required=True)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -59,7 +59,10 @@ def resolve_config(overrides: dict | None = None) -> dict:
     return _merge(DEFAULT_CONFIG, overrides or {})
 
 
-def load_config(path) -> dict:
+def load_config(path=None) -> dict:
+    """The config file at ``path`` over the defaults; the defaults if no path."""
+    if not path:
+        return resolve_config()
     try:
         with open(path) as fh:
             overrides = json.load(fh)

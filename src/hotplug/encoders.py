@@ -282,12 +282,11 @@ def encode_image(weights: EncoderWeights, images, attachment=None,
 
 
 def encode_chunked(encode, inputs) -> np.ndarray:
-    """``encode``'s Tensor or array values, ENCODE_CHUNK rows at a time, under no_grad."""
+    """``encode``'s Tensor values, ENCODE_CHUNK rows at a time, under no_grad."""
     stops = [*range(ENCODE_CHUNK, inputs.shape[0] - 1, ENCODE_CHUNK), inputs.shape[0]]
     with ad.no_grad():  # no 1-row chunk unless the input has 1 row
-        chunks = [encode(inputs[a:b]) for a, b in zip([0, *stops], stops)]
-    return np.concatenate([c.values if isinstance(c, Tensor) else c
-                           for c in chunks], axis=0)
+        chunks = [encode(inputs[a:b]).values for a, b in zip([0, *stops], stops)]
+    return np.concatenate(chunks, axis=0)
 
 
 def encode_text(weights: EncoderWeights, tokens) -> Tensor:

@@ -41,6 +41,11 @@ def recall_at_k(query_feats, gallery_feats, ground_truth, k: int) -> float:
     truth = np.asarray(ground_truth)
     if not 1 <= k <= gallery.shape[0]:
         raise ParameterError(f"k={k} out of range 1..{gallery.shape[0]}")
+    if truth.shape != (query.shape[0],):
+        raise ContractError(f"ground truth shape {truth.shape} != ({query.shape[0]},)")
+    if not np.issubdtype(truth.dtype, np.integer) or (
+            truth.size and not 0 <= truth.min() <= truth.max() < gallery.shape[0]):
+        raise ParameterError(f"ground truth ids must be integers in 0..{gallery.shape[0] - 1}")
     sims = query @ gallery.T
     # rank = better-scoring items, counting equal scores at lower index
     t = sims[np.arange(query.shape[0]), truth][:, None]
@@ -156,7 +161,7 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
     """Build the compatibility-ordering report for one trained pipeline.
 
     ``adapted_extractor`` overrides the hot-plugged feature extractor (a
-    callable mapping an image batch to features); by default it is rebuilt
+    callable mapping an image batch to a feature Tensor); by default it is rebuilt
     from the attachment checkpoint. ``new_ckpt`` supplies the cold-plug upper
     bound and may be omitted. Each encoder encodes the eval split once; for
     classification the first half trains the heads and the second is scored.
@@ -235,7 +240,7 @@ def raw_swap_baseline(old_ckpt: Checkpoint, new_ckpt: Checkpoint,
         feats = encode_image(new_visual, images).values
         proj = feats @ bridge
         norms = np.linalg.norm(proj, axis=-1, keepdims=True)
-        return proj / np.maximum(norms, 1e-12)
+        return ad.Tensor(proj / np.maximum(norms, 1e-12))
 
     feats = encode_chunked(extract, eval_dataset.images)
     gallery = canonical_caption_gallery(old_text)

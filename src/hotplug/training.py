@@ -2,6 +2,7 @@
 
 ``pretrain_clip`` trains a visual/text pair with the symmetric contrastive
 loss; ``train_taca`` freezes all backbones and optimizes only the attachment.
+Both run the one AdamW loop ``_fit``, which stops a diverging run at its step.
 Every run is fully determined by its configs and seeds.
 """
 
@@ -28,8 +29,8 @@ from .encoders import (
     encode_text,
     init_encoder,
 )
-from .errors import (ConfigError, ContractError, FormatError, ParameterError,
-                     check_fields, checked)
+from .errors import (ConfigError, ContractError, DegenerateVectorError, FormatError,
+                     ParameterError, check_fields, checked)
 from .losses import CompatLossConfig, ContrastiveConfig, clip_symmetric_loss, compat_total
 from .peft import TacaConfig, attach_taca
 
@@ -214,16 +215,30 @@ def clip_encoders_from_checkpoint(checkpoint: Checkpoint):
 # Training loops
 # ---------------------------------------------------------------------------
 
-def _descend(opt: AdamW, loss: Tensor, step: int, train_cfg: TrainConfig):
-    """One AdamW step on ``loss``; a run stops at its first non-finite loss."""
-    if not math.isfinite(loss.item()):
-        raise ConfigError(
-            f"training diverged: loss is {loss.item()} at step {step} with "
-            f"learning rate {train_cfg.learning_rate:g}; lower train.learning_rate "
-            f"(or, for train-taca, train.taca_learning_rate when set)")
-    opt.zero_grad()
-    ad.backward(loss)
-    opt.step()
+def _fit(params, n: int, train_cfg: TrainConfig, loss_of):
+    """The one AdamW loop of both trainers: ``loss_of(batch)`` gives a step's
+    (loss, components) on that step's tape. A run stops at its first non-finite
+    loss or feature-row norm. Returns one (step, loss, *components) row per step."""
+    opt = AdamW(params, lr=train_cfg.learning_rate)
+    rows = []
+    for step, batch in enumerate(batch_indices(
+            n, train_cfg.batch_size, train_cfg.steps, train_cfg.seed)):
+        with ad.new_tape():
+            try:
+                loss, components = loss_of(batch)
+                cause = None if math.isfinite(loss.item()) else f"loss is {loss.item()}"
+            except DegenerateVectorError as exc:
+                cause = str(exc)
+            if cause is not None:
+                raise ConfigError(
+                    f"training diverged: {cause} at step {step} with learning rate "
+                    f"{train_cfg.learning_rate:g}; lower train.learning_rate "
+                    f"(or, for train-taca, train.taca_learning_rate when set)")
+            opt.zero_grad()
+            ad.backward(loss)
+            opt.step()
+        rows.append((step, loss.item(), *components.values()))
+    return rows
 
 
 def pretrain_clip(visual_cfg: VisualEncoderConfig, text_cfg: TextEncoderConfig,
@@ -231,8 +246,6 @@ def pretrain_clip(visual_cfg: VisualEncoderConfig, text_cfg: TextEncoderConfig,
                   contrastive: ContrastiveConfig = ContrastiveConfig(),
                   config_digest: str = "") -> Checkpoint:
     """Jointly train both encoders with the symmetric contrastive loss."""
-    if len(dataset) == 0:
-        raise ConfigError("dataset is empty")
     if visual_cfg.embed_dim != text_cfg.embed_dim:
         raise ConfigError(
             f"visual embed_dim {visual_cfg.embed_dim} != text embed_dim "
@@ -241,18 +254,11 @@ def pretrain_clip(visual_cfg: VisualEncoderConfig, text_cfg: TextEncoderConfig,
     text = init_encoder(text_cfg, seed=train_cfg.seed + 1)
     visual.set_trainable(True)
     text.set_trainable(True)
-    params = list(visual.tensors()) + list(text.tensors())
-    opt = AdamW(params, lr=train_cfg.learning_rate)
-    last_loss = None
-    for step, batch in enumerate(batch_indices(
-            len(dataset), train_cfg.batch_size, train_cfg.steps, train_cfg.seed)):
-        with ad.new_tape():
-            img_feats = encode_image(visual, dataset.images[batch])
-            txt_feats = encode_text(text, dataset.captions[batch])
-            loss = clip_symmetric_loss(img_feats, txt_feats,
-                                       contrastive.temperature)
-            _descend(opt, loss, step, train_cfg)
-        last_loss = loss.item()
+    rows = _fit(list(visual.tensors()) + list(text.tensors()), len(dataset), train_cfg,
+                lambda batch: (clip_symmetric_loss(
+                    encode_image(visual, dataset.images[batch]),
+                    encode_text(text, dataset.captions[batch]),
+                    contrastive.temperature), {}))
     meta = {
         "kind": "clip",
         "visual_config": dataclasses.asdict(visual_cfg),
@@ -260,7 +266,7 @@ def pretrain_clip(visual_cfg: VisualEncoderConfig, text_cfg: TextEncoderConfig,
         "temperature": contrastive.temperature,
         "steps": train_cfg.steps,
         "seed": train_cfg.seed,
-        "final_loss": last_loss,
+        "final_loss": rows[-1][1],
         "config_digest": config_digest,
     }
     tensors = pack_encoder(visual, "visual") | pack_encoder(text, "text")
@@ -283,41 +289,29 @@ def train_taca(old_ckpt: Checkpoint, new_ckpt: Checkpoint, taca_cfg: TacaConfig,
     old_visual, old_text, tau = clip_encoders_from_checkpoint(old_ckpt)
     new_visual, _, _ = clip_encoders_from_checkpoint(new_ckpt)
     d_old = old_visual.config.embed_dim
-    d_new = new_visual.config.embed_dim
     attachment, adapted = attach_taca(new_visual, taca_cfg, d_old,
                                       seed=train_cfg.seed)
     loss_cfg = dataclasses.replace(
         loss_cfg, contrastive=ContrastiveConfig(temperature=tau))
-    backbone_snapshot = {
-        "old_visual": old_visual.clone_values(),
-        "old_text": old_text.clone_values(),
-        "new_visual": new_visual.clone_values(),
-    }
-    opt = AdamW(attachment.trainable_tensors(), lr=train_cfg.learning_rate)
+    frozen = {"old_visual": old_visual, "old_text": old_text, "new_visual": new_visual}
+    snapshot = {label: weights.clone_values() for label, weights in frozen.items()}
     # Old encoders are frozen, so their per-sample features are constants;
     # compute them once instead of once per epoch.
     old_img_all = encode_chunked(lambda x: encode_image(old_visual, x),
                                  dataset.images)
     old_txt_all = encode_chunked(lambda c: encode_text(old_text, c),
                                  dataset.captions)
-    log = []
-    for step, batch in enumerate(batch_indices(
-            len(dataset), train_cfg.batch_size, train_cfg.steps, train_cfg.seed)):
-        with ad.new_tape():
-            old_img = Tensor(old_img_all[batch])
-            old_txt = Tensor(old_txt_all[batch])
-            new_img = adapted.encode(dataset.images[batch])
-            total, comps = compat_total(new_img, old_txt, old_img, loss_cfg)
-            _descend(opt, total, step, train_cfg)
-        log.append((step, total.item(), comps["contrastive"],
-                    comps["distillation"]))
-    _audit_frozen(backbone_snapshot, old_visual, old_text, new_visual)
+    log = _fit(attachment.trainable_tensors(), len(dataset), train_cfg,
+               lambda batch: compat_total(adapted.encode(dataset.images[batch]),
+                                          Tensor(old_txt_all[batch]),
+                                          Tensor(old_img_all[batch]), loss_cfg))
+    _audit_frozen(snapshot, frozen)
     meta = {
         "kind": "taca_attachment",
         "taca_config": dataclasses.asdict(taca_cfg),
         "new_visual_config": dataclasses.asdict(new_visual.config),
         "dim_old": d_old,
-        "dim_new": d_new,
+        "dim_new": new_visual.config.embed_dim,
         "temperature": tau,
         "distill_weight": loss_cfg.distill_weight,
         "steps": train_cfg.steps,
@@ -334,9 +328,8 @@ def train_taca(old_ckpt: Checkpoint, new_ckpt: Checkpoint, taca_cfg: TacaConfig,
     return Checkpoint(meta, tensors), log
 
 
-def _audit_frozen(snapshot, old_visual, old_text, new_visual):
-    for label, weights in (("old_visual", old_visual), ("old_text", old_text),
-                           ("new_visual", new_visual)):
+def _audit_frozen(snapshot, frozen):
+    for label, weights in frozen.items():
         for name, before in snapshot[label].items():
             after = weights.params[name].values
             if not np.array_equal(before, after):

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check, random_point
-from .encoders import ImageSpec, VisualEncoderConfig
+from .encoders import ImageSpec, VisualEncoderConfig, init_encoder
 from .losses import (
     clip_symmetric_loss,
     compat_total,
@@ -87,7 +87,8 @@ def gradcheck_cases(seeds=range(20)):
                                          ad.Tensor(target))),
             rng.normal(size=(2, 6))))
         yield ("adapter_forward_wdown", _check(
-            lambda wd: _adapter_param_loss(adapter, wd, rng),
+            lambda wd: _swapped_loss(adapter, "w_down", wd, adapter_forward,
+                                     np.linspace(-1.0, 1.0, 12).reshape(2, 6)),
             adapter.w_down.values.copy()))
 
         proj = DimensionProjector(8, 5, 4, "gelu", rng)
@@ -103,7 +104,7 @@ def gradcheck_cases(seeds=range(20)):
         lora.b.values = rng.normal(size=lora.b.shape)
         lx = rng.normal(size=(3, 5))
         yield ("lora_forward", _check(
-            lambda a: _lora_param_loss(lora, a, lx), lora.a.values.copy()))
+            lambda a: _swapped_loss(lora, "a", a, lora_forward, lx), lora.a.values.copy()))
 
         q = rng.normal(size=(4, 6))
         k = rng.normal(size=(4, 6))
@@ -129,26 +130,30 @@ def gradcheck_cases(seeds=range(20)):
                                    ad.l2_normalize_rows(ad.Tensor(k)), cfg)[0],
             random_point(rng, (4, 6), min_abs=0.05)))
 
+        # Shape primitives, read out as sum(f(x) * w) for a fixed random w: x enters
+        # concat twice, scaled apart, and id 1 repeats, so their gradients must add.
+        ids = np.array([[1, 3], [1, 0]])
+        for name, f, shape in (
+                ("transpose", lambda x: ad.transpose(x, (2, 0, 1)), (2, 3, 4)),
+                ("reshape", lambda x: ad.reshape(x, (6, 4)), (2, 3, 4)),
+                ("index_select", lambda x: ad.index_select(x, 1, 2), (2, 3, 4)),
+                ("concat", lambda x: ad.concat([x, ad.scale(x, 2.0)], axis=0), (2, 3)),
+                ("broadcast_to", lambda x: ad.broadcast_to(x, (2, 3, 4)), (3, 1)),
+                ("embedding_lookup", lambda t: ad.embedding_lookup(t, ids), (5, 4))):
+            w = Tensor(rng.normal(size=f(Tensor(np.zeros(shape))).shape))
+            yield (name, _check(lambda x: ad.sum_all(ad.mul(f(x), w)),
+                                rng.normal(size=shape)))
 
-def _adapter_param_loss(adapter, wd, rng):
-    saved = adapter.w_down
-    adapter.w_down = wd
+
+def _swapped_loss(module, attr, value, forward, x):
+    """mean(out * out) of ``forward(module, x)`` with ``module.attr`` = ``value``."""
+    saved = getattr(module, attr)
+    setattr(module, attr, value)
     try:
-        x = Tensor(np.linspace(-1.0, 1.0, 12).reshape(2, 6))
-        out = adapter_forward(adapter, x)
+        out = forward(module, Tensor(x))
         return ad.mean_all(ad.mul(out, out))
     finally:
-        adapter.w_down = saved
-
-
-def _lora_param_loss(lora, a, x):
-    saved = lora.a
-    lora.a = a
-    try:
-        out = lora_forward(lora, Tensor(x))
-        return ad.mean_all(ad.mul(out, out))
-    finally:
-        lora.a = saved
+        setattr(module, attr, saved)
 
 
 def run_gradcheck_suite(seeds=range(20)):
@@ -185,7 +190,6 @@ def run_params_suite(num_configs: int = 50, seed: int = 0):
     for i in range(num_configs):
         cfg, enc, d_old = random_taca_config(rng)
         counts = count_trainable(cfg, enc, d_old)
-        from .encoders import init_encoder
         weights = init_encoder(enc, seed=i)
         attachment, _ = attach_taca(weights, cfg, d_old, seed=i)
         enumerated = sum(t.values.size for t in attachment.trainable_tensors())
@@ -236,3 +240,9 @@ def run_losses_suite():
     results.append(("total_recomposition", total.item(),
                     abs(total.item() - recomposed) < 1e-12))
     return results
+
+
+# suite name -> (runner, format of each result's value)
+SUITES = {"gradcheck": (run_gradcheck_suite, "max_rel_err={:.3e}"),
+          "params": (run_params_suite, "exact_count={}"),
+          "losses": (run_losses_suite, "value={:.9f}")}

@@ -108,7 +108,8 @@ def test_a1_gradient_oracle():
                 "l2_normalize_rows", "layer_norm", "relu", "gelu",
                 "adapter_forward", "projector_forward", "lora_forward",
                 "nce", "clip_symmetric_loss", "distill_loss",
-                "cross_model_contrastive"}
+                "cross_model_contrastive", "transpose", "reshape", "index_select",
+                "concat", "broadcast_to", "embedding_lookup"}
     missing = required - names
     worst = max(err for _, err, _ in results)
     ok = all(flag for _, _, flag in results) and not missing and elapsed < 60.0

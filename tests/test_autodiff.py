@@ -78,6 +78,13 @@ class TestL2Normalize:
         with pytest.raises(DegenerateVectorError):
             ad.l2_normalize_rows(Tensor([[0.0, 0.0]]))
 
+    @pytest.mark.parametrize("row", [[1e200, 1e200], [np.inf, 0.0], [np.nan, 1.0]],
+                             ids=["overflowing", "inf", "nan"])
+    def test_non_finite_norm_is_degenerate(self, row):
+        # A finite row whose norm overflows would otherwise scale to zeros.
+        with pytest.raises(DegenerateVectorError, match="not finite"):
+            ad.l2_normalize_rows(Tensor([[1.0, 0.0], row]))
+
     def test_unit_norms(self):
         rng = np.random.default_rng(4)
         out = ad.l2_normalize_rows(Tensor(rng.normal(size=(10, 7))))

@@ -273,10 +273,20 @@ class TestCorruptArtifacts:
         ("eval-retrieval", "eval", {"gallery_seed": -5}, "eval.gallery_seed"),
         ("eval-classification", "eval", {"head_seeds": []}, "eval.head_seeds"),
         ("eval-classification", "eval", {"head_seeds": [0, "1"]}, "eval.head_seeds"),
+        # --role new adds NEW_ROLE_SEED_OFFSET (1000) to train.seed: the seed is
+        # checked before the offset, under its config key.
+        ("pretrain-new", "train", {"seed": "x"}, "train.seed"),
+        ("pretrain-new", "train", {"seed": True}, "train.seed"),
+        ("pretrain-new", "train", {"seed": -1001}, "got -1001"),
+        ("pretrain-new", "new_encoder", {"pretrain_steps": 0},
+         "new_encoder.pretrain_steps"),
+        ("pretrain-new", "new_encoder", {"pretrain_steps": 2.5},
+         "new_encoder.pretrain_steps"),
     ], ids=["layers-x", "heads-0", "seed-true", "temperature-string",
             "fractional-bottleneck", "layer-string", "negative-lr", "symmetric-1",
             "data-n-x", "data-seed-negative", "eval-k-x", "gallery-seed-negative",
-            "head-seeds-empty", "head-seed-string"])
+            "head-seeds-empty", "head-seed-string", "new-seed-x", "new-seed-true",
+            "new-seed-below-offset", "new-steps-0", "new-steps-fractional"])
     def test_config_value_of_wrong_type_or_sign_is_usage_error(
             self, workspace, tmp_path, capsys, command, section, values, named):
         cfg = json.loads(json.dumps(FAST_CONFIG))
@@ -286,6 +296,7 @@ class TestCorruptArtifacts:
         evaluate = ["eval-compat", "--old", workspace["old"], "--taca", workspace["taca"],
                     "--data", workspace["eval"], "--task"]
         argv = {"pretrain": ["pretrain", "--role", "old", "--data", workspace["data"]],
+                "pretrain-new": ["pretrain", "--role", "new", "--data", workspace["data"]],
                 "train-taca": ["train-taca", "--old", workspace["old"],
                                "--new", workspace["new"], "--data", workspace["data"]],
                 "gen-data": ["gen-data"],
@@ -300,7 +311,7 @@ class TestCorruptArtifacts:
                                                   capsys):
         cfg = json.loads(json.dumps(FAST_CONFIG))
         cfg["train"]["learning_rate"] = 1e6
-        cfg["old_encoder"]["pretrain_steps"] = 40  # the loss turns NaN at step 19
+        cfg["old_encoder"]["pretrain_steps"] = 40  # a feature norm overflows at step 19
         cfg_path = tmp_path / "diverge.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "o.tack"
@@ -308,9 +319,27 @@ class TestCorruptArtifacts:
                      "--out", str(out), "--config", str(cfg_path)])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "diverged" in err and "at step " in err
+        assert "diverged" in err and "at step 19" in err
         assert "train.learning_rate" in err
         assert not out.exists()
+
+    def test_divergent_train_taca_stops_at_its_step(self, workspace, tmp_path,
+                                                    capsys):
+        cfg = json.loads(json.dumps(FAST_CONFIG))
+        cfg["train"].update(taca_learning_rate=1e6, steps=40)
+        cfg_path = tmp_path / "diverge.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out, log = tmp_path / "t.tack", tmp_path / "loss.csv"
+        # The projector's features stay finite, but their norm overflows at
+        # step 20: that is divergence, not a malformed loss input.
+        code = main(["train-taca", "--old", workspace["old"], "--new", workspace["new"],
+                     "--data", workspace["data"], "--out", str(out), "--log", str(log),
+                     "--config", str(cfg_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "diverged" in err and "not finite at step 20" in err
+        assert "train.taca_learning_rate" in err
+        assert not out.exists() and not log.exists()
 
 
 class TestTrainTaca:

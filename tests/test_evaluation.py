@@ -113,6 +113,20 @@ class TestRecallAtK:
         with pytest.raises(ParameterError):
             recall_at_k(self.GALLERY, self.GALLERY, np.arange(3), 4)
 
+    @pytest.mark.parametrize("truth", [np.arange(2), np.arange(4), np.zeros((3, 1), int)],
+                             ids=["short", "long", "column"])
+    def test_truth_not_one_per_query_is_contract_error(self, truth):
+        with pytest.raises(ContractError):
+            recall_at_k(self.GALLERY, self.GALLERY, truth, 1)
+
+    @pytest.mark.parametrize("truth", [[-3, -2, -1], [0, 1, 3], [0.0, 1.0, 2.0],
+                                       [True, False, True]],
+                             ids=["negative", "past-gallery", "float", "bool"])
+    def test_truth_not_gallery_indices_is_parameter_error(self, truth):
+        # Negative ids would otherwise wrap: [-3, -2, -1] names rows 0, 1, 2.
+        with pytest.raises(ParameterError):
+            recall_at_k(self.GALLERY, self.GALLERY, np.array(truth), 1)
+
 
 def tape_train_head(features, labels, num_classes: int, seed: int,
                     steps: int = 300, lr: float = 0.05, trained_on: str = "old") -> DownstreamHead:

@@ -19,7 +19,8 @@ class TestGradcheckSuite:
             "l2_normalize_rows", "layer_norm", "relu", "gelu",
             "adapter_forward", "adapter_forward_wdown", "projector_forward",
             "lora_forward", "nce", "clip_symmetric_loss", "distill_loss",
-            "cross_model_contrastive", "compat_total",
+            "cross_model_contrastive", "compat_total", "transpose", "reshape",
+            "index_select", "concat", "broadcast_to", "embedding_lookup",
         }
         assert expected <= names
 
