@@ -3,11 +3,11 @@
 The engine is define-by-run: a primitive records its inputs and a
 vector-Jacobian closure on the active tape only outside ``no_grad`` and when
 some input is trainable or ``needs_grad``, and ``backward`` walks that tape once
-in reverse. Ops on constants alone record nothing; ``matmul``, ``add`` (its
-bias sum) and ``layer_norm`` skip the gradients of constant inputs, and the
+in reverse. Ops on constants alone record nothing; ``matmul`` (with its
+bias) and ``layer_norm`` skip the gradients of constant inputs, and the
 activations and ``log_softmax_rows`` build derivative state only in their
 closures. Arrays are plain numpy ``float64``; there is no implicit
-broadcasting except bias addition over the last axis.
+broadcasting except ``matmul``'s bias over the last axis.
 """
 
 from __future__ import annotations
@@ -145,18 +145,11 @@ def backward(loss: Tensor):
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; a rank-1 ``b`` broadcasts over the last axis (bias add)."""
-    if a.shape == b.shape:
-        out = Tensor(a.values + b.values)
-        _record(out, (a, b), lambda g: (g, g))
-        return out
-    if b.values.ndim == 1 and a.shape and a.shape[-1] == b.shape[0]:
-        out = Tensor(a.values + b.values)
-        axes = tuple(range(a.values.ndim - 1))
-        _record(out, (a, b),
-                lambda g: (g, g.sum(axis=axes) if _wants_grad(b) else None))
-        return out
-    raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    out = Tensor(a.values + b.values)
+    _record(out, (a, b), lambda g: (g, g))
+    return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -193,11 +186,12 @@ def mul_const(a: Tensor, const) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Matrix product; leading batch axes on ``a`` (or both) are supported.
 
-    ``b`` may be a plain 2-D weight shared across the batch, in which case its
-    gradient sums over the leading axes.
+    ``b`` may be a plain 2-D weight shared across the batch: a dense layer,
+    whose ``bias`` (rank 1) is added over the last axis. Its gradients are
+    then single GEMMs over all leading rows of ``a``.
     """
     av, bv = a.values, b.values
     if av.ndim < 2 or bv.ndim < 2:
@@ -206,18 +200,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: inner dimensions disagree for {a.shape} and {b.shape}")
     if bv.ndim > 2 and av.shape[:-2] != bv.shape[:-2]:
         raise DimensionError(f"matmul: batch dimensions disagree for {a.shape} and {b.shape}")
-    out = Tensor(np.matmul(av, bv))
+    if bias is not None and (bv.ndim != 2 or bias.shape != bv.shape[-1:]):
+        raise DimensionError(f"matmul: bias {bias.shape} does not fit weight {b.shape}")
+    out = np.matmul(av, bv)
+    if bias is not None:
+        out += bias.values
+    out = Tensor(out)
 
     def vjp(g):
-        da = np.matmul(g, np.swapaxes(bv, -1, -2)) if _wants_grad(a) else None
-        db = None
-        if _wants_grad(b):
-            db = np.matmul(np.swapaxes(av, -1, -2), g)
-            if bv.ndim == 2 and db.ndim > 2:
-                db = db.sum(axis=tuple(range(db.ndim - 2)))
-        return da, db
+        if bv.ndim > 2:
+            return (np.matmul(g, np.swapaxes(bv, -1, -2)) if _wants_grad(a) else None,
+                    np.matmul(np.swapaxes(av, -1, -2), g) if _wants_grad(b) else None)
+        g2 = g.reshape(-1, g.shape[-1])
+        da = (g2 @ bv.T).reshape(av.shape) if _wants_grad(a) else None
+        db = av.reshape(-1, av.shape[-1]).T @ g2 if _wants_grad(b) else None
+        if bias is None:
+            return da, db
+        return da, db, g2.sum(axis=0) if _wants_grad(bias) else None
 
-    _record(out, (a, b), vjp)
+    _record(out, (a, b) if bias is None else (a, b, bias), vjp)
     return out
 
 
@@ -390,10 +391,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if gain.shape != (n,) or bias.shape != (n,):
         raise DimensionError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match width {n}")
-    mu = a.values.mean(axis=-1, keepdims=True)
-    var = ((a.values - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (a.values - mu) * inv
+    xhat = a.values - a.values.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xhat *= inv
     out = Tensor(xhat * gain.values + bias.values)
     gv = gain.values
     lead = tuple(range(a.values.ndim - 1))

@@ -263,6 +263,8 @@ def load_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
         frame = Frame(fh, DATASET_MAGIC, DATASET_VERSION, "dataset")
         n, h, w, c, p = frame.unpack("<IIIII")
+        if n < 1:  # as generate_dataset requires
+            raise FormatError("dataset header declares no samples")
         vocab, cap_len, seed = frame.unpack("<IIq")
         if vocab != VOCAB_SIZE or cap_len != CAPTION_LEN:
             raise FormatError(

@@ -200,9 +200,9 @@ def _attention(params, prefix: str, x: Tensor, heads: int, attachment=None,
     wq, wv = params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.wv"]
     if attachment is not None:
         wq, wv = attachment.qv_weights(layer, wq, wv)
-    q = ad.add(ad.matmul(x, wq), params[f"{prefix}.attn.bq"])
+    q = ad.matmul(x, wq, params[f"{prefix}.attn.bq"])
     kk = ad.matmul(x, params[f"{prefix}.attn.wk"])  # no key bias: the softmax cancels it
-    v = ad.add(ad.matmul(x, wv), params[f"{prefix}.attn.bv"])
+    v = ad.matmul(x, wv, params[f"{prefix}.attn.bv"])
 
     def split(h):
         return ad.transpose(ad.reshape(h, (b, t, heads, dh)), (0, 2, 1, 3))
@@ -212,8 +212,7 @@ def _attention(params, prefix: str, x: Tensor, heads: int, attachment=None,
     attn = ad.softmax_rows(scores)
     mixed = ad.matmul(attn, vh)
     merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (b, t, k))
-    return ad.add(ad.matmul(merged, params[f"{prefix}.attn.wo"]),
-                  params[f"{prefix}.attn.bo"])
+    return ad.matmul(merged, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
 
 
 def _trunk(weights: EncoderWeights, x: Tensor, readout: int, single: bool,
@@ -234,9 +233,8 @@ def _trunk(weights: EncoderWeights, x: Tensor, readout: int, single: bool,
         if i == cfg.layers - 1:  # only the readout row reaches the embedding
             x = ad.index_select(x, 1, readout)
         f_in = ad.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-        h = ad.add(ad.matmul(f_in, params[f"{p}.ffn.w1"]), params[f"{p}.ffn.b1"])
-        h = ad.gelu(h)
-        h = ad.add(ad.matmul(h, params[f"{p}.ffn.w2"]), params[f"{p}.ffn.b2"])
+        h = ad.gelu(ad.matmul(f_in, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"]))
+        h = ad.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
         if attachment is not None:
             h = attachment.apply_adapter(i, "ffn", h)
         x = ad.add(x, h)
@@ -271,7 +269,7 @@ def encode_image(weights: EncoderWeights, images, attachment=None,
     b, t, k = images.shape[0], spec.num_patches + 1, cfg.width
     params = weights.params
     patches = Tensor(_patchify_batch(images, spec))
-    x = ad.add(ad.matmul(patches, params["patch_embed"]), params["patch_bias"])
+    x = ad.matmul(patches, params["patch_embed"], params["patch_bias"])
     cls = ad.broadcast_to(ad.reshape(params["cls_token"], (1, 1, k)), (b, 1, k))
     x = ad.concat([cls, x], axis=1)
     pos = ad.broadcast_to(ad.reshape(params["pos_embed"], (1, t, k)), (b, t, k))

@@ -46,9 +46,9 @@ def adapter_forward(adapter: Adapter, x: Tensor) -> Tensor:
     if not x.shape or x.shape[-1] != adapter.width:
         raise DimensionError(
             f"adapter expects last dim {adapter.width}, got {x.shape}")
-    h = ad.add(ad.matmul(x, adapter.w_down), adapter.b_down)
+    h = ad.matmul(x, adapter.w_down, adapter.b_down)
     h = ad.elementwise_activation(h, adapter.activation)
-    h = ad.add(ad.matmul(h, adapter.w_up), adapter.b_up)
+    h = ad.matmul(h, adapter.w_up, adapter.b_up)
     return ad.add(x, h)
 
 
@@ -79,9 +79,9 @@ def projector_forward(projector: DimensionProjector, v: Tensor) -> Tensor:
     if not v.shape or v.shape[-1] != projector.dim_new:
         raise DimensionError(
             f"projector expects last dim {projector.dim_new}, got {v.shape}")
-    h = ad.add(ad.matmul(_as_rows(v), projector.w1), projector.b1)
+    h = ad.matmul(_as_rows(v), projector.w1, projector.b1)
     h = ad.elementwise_activation(h, projector.activation)
-    h = ad.add(ad.matmul(h, projector.w2), projector.b2)
+    h = ad.matmul(h, projector.w2, projector.b2)
     h = ad.l2_normalize_rows(h)
     if len(v.shape) == 1:
         h = ad.reshape(h, (projector.dim_old,))

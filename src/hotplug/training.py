@@ -58,35 +58,47 @@ class TrainConfig:
 
 
 class AdamW:
-    """Decoupled weight decay Adam over an explicit list of trainable tensors."""
+    """Decoupled weight decay Adam over an explicit list of trainable tensors,
+    stepped as one flat array: each tensor's values become a view of it."""
 
     def __init__(self, params, lr: float, weight_decay: float = 0.01):
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m = [np.zeros_like(p.values) for p in self.params]
-        self._v = [np.zeros_like(p.values) for p in self.params]
+        sizes = [p.values.size for p in self.params]
+        self._buffers = np.zeros((5, sum(sizes)))  # m, v, grad and two temporaries
+        self._splits = np.cumsum(sizes)[:-1]
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def step(self):
+        if any(p.grad is None for p in self.params):
+            raise ContractError("AdamW.step: parameter has no gradient")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                raise ContractError("AdamW.step: parameter has no gradient")
-            g = p.grad
-            self._m[i] = ADAM_BETA1 * self._m[i] + (1.0 - ADAM_BETA1) * g
-            self._v[i] = ADAM_BETA2 * self._v[i] + (1.0 - ADAM_BETA2) * g * g
-            m_hat = self._m[i] / bc1
-            v_hat = self._v[i] / bc2
-            p.values = p.values - self.lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                                             + self.weight_decay * p.values)
+        m, v, g, tmp, update = self._buffers  # the per-tensor op order, in place
+        np.concatenate([p.grad.ravel() for p in self.params], out=g)
+        w = np.concatenate([p.values.ravel() for p in self.params])
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(m, bc1, out=update)
+        np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+        tmp += ADAM_EPS
+        update /= tmp
+        update += np.multiply(w, self.weight_decay, out=tmp)
+        update *= self.lr
+        w -= update
+        for p, values in zip(self.params, np.split(w, self._splits)):
+            p.values = values.reshape(p.values.shape)
 
 
 def batch_indices(n: int, batch_size: int, steps: int, seed: int):
@@ -223,7 +235,8 @@ def _fit(params, n: int, train_cfg: TrainConfig, loss_of):
     rows = []
     for step, batch in enumerate(batch_indices(
             n, train_cfg.batch_size, train_cfg.steps, train_cfg.seed)):
-        with ad.new_tape():
+        # A diverging step overflows before its own checks stop the run.
+        with ad.new_tape(), np.errstate(over="ignore", invalid="ignore"):
             try:
                 loss, components = loss_of(batch)
                 cause = None if math.isfinite(loss.item()) else f"loss is {loss.item()}"

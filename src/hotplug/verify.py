@@ -47,10 +47,10 @@ def gradcheck_cases(seeds=range(20)):
         w = Tensor(rng.normal(size=(4, 3)))
         yield ("matmul", _check(
             lambda x: ad.mean_all(ad.matmul(x, w)), rng.normal(size=(2, 4))))
-        b = Tensor(rng.normal(size=(5,)))
-        yield ("add_bias", _check(
-            lambda x: ad.mean_all(ad.mul(ad.add(x, b), ad.add(x, b))),
-            rng.normal(size=(3, 5))))
+        b = rng.normal(size=(5,))  # the point: the bias of a dense layer
+        bx, eye = Tensor(rng.normal(size=(3, 5))), Tensor(np.eye(5))
+        yield ("add_bias", _check(lambda bias: ad.mean_all(ad.mul(
+            ad.matmul(bx, eye, bias), ad.matmul(bx, eye, bias))), b))
         other = Tensor(rng.normal(size=(3, 4)))
         yield ("mul", _check(
             lambda x: ad.sum_all(ad.mul(x, other)), rng.normal(size=(3, 4))))
@@ -143,6 +143,12 @@ def gradcheck_cases(seeds=range(20)):
             w = Tensor(rng.normal(size=f(Tensor(np.zeros(shape))).shape))
             yield (name, _check(lambda x: ad.sum_all(ad.mul(f(x), w)),
                                 rng.normal(size=shape)))
+
+        # A dense layer over a (B, T, k) batch: its weight and bias gradients.
+        x3, w3, b3 = (Tensor(rng.normal(size=s)) for s in ((2, 3, 4), (4, 5), (5,)))
+        for name, f, at in (("matmul_batched_weight", lambda w: ad.matmul(x3, w, b3), w3),
+                            ("matmul_batched_bias", lambda b: ad.matmul(x3, w3, b), b3)):
+            yield (name, _check(lambda v: ad.mean_all(ad.mul(f(v), f(v))), at.values.copy()))
 
 
 def _swapped_loss(module, attr, value, forward, x):

@@ -38,6 +38,55 @@ class TestMatmul:
         np.testing.assert_allclose(out.values, expected)
 
 
+class TestDenseLayer:
+    """``matmul(x, w, bias)``: one record per dense layer, whose gradients are
+    single GEMMs over all B*T rows."""
+
+    @staticmethod
+    def _layer(seed, trainable=True):
+        rng = np.random.default_rng(seed)
+        return (Tensor(rng.normal(size=(5, 7, 6)), trainable),
+                Tensor(rng.normal(size=(6, 4)), trainable),
+                Tensor(rng.normal(size=(4,)), trainable), rng.normal(size=(5, 7, 4)))
+
+    def test_forward_bitwise_equal_to_matmul_plus_bias(self):
+        x, w, b, _ = self._layer(20)
+        out = ad.matmul(x, w, b)
+        assert np.array_equal(out.values, np.matmul(x.values, w.values) + b.values)
+
+    def test_gradients_match_the_per_sample_formulation(self):
+        x, w, b, g = self._layer(21)
+        with ad.new_tape() as tape:
+            out = ad.matmul(x, w, b)
+        ((recorded, parents, vjp),) = tape.records
+        assert recorded is out and parents == (x, w, b)
+        dx, dw, db = vjp(g)
+        want = (np.matmul(g, w.values.T),
+                sum(x.values[i].T @ g[i] for i in range(g.shape[0])),
+                g.sum(axis=(0, 1)))
+        for got, ref in zip((dx, dw, db), want):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_constants_alone_record_nothing(self):
+        x, w, b, _ = self._layer(22, trainable=False)
+        with ad.new_tape() as tape:
+            out = ad.matmul(x, w, b)
+        assert len(tape) == 0 and not out.needs_grad
+
+    @pytest.mark.parametrize("weight, bias", [((6, 4), (6,)), ((6, 4), (1, 4)),
+                                              ((5, 6, 4), (4,))],
+                             ids=["width", "rank-2", "batched-weight"])
+    def test_bias_that_does_not_fit_is_dimension_error(self, weight, bias):
+        with pytest.raises(DimensionError, match="bias"):
+            ad.matmul(Tensor(np.zeros((5, 7, 6))), Tensor(np.zeros(weight)),
+                      Tensor(np.zeros(bias)))
+
+    def test_add_does_not_broadcast(self):
+        with pytest.raises(DimensionError, match=r"\(3, 4\) and \(4,\)"):
+            ad.add(Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
+
+
 class TestSoftmax:
     def test_symmetric_row(self):
         out = ad.softmax_rows(Tensor([[0.0, 0.0]]), 1.0)

@@ -11,7 +11,7 @@ import pytest
 
 from hotplug import cli, evaluation
 from hotplug.cli import EXIT_IO, EXIT_OK, EXIT_ORDERING, EXIT_USAGE, main
-from hotplug.data import load_dataset, save_dataset
+from hotplug.data import Dataset, load_dataset, save_dataset
 from hotplug.training import load_checkpoint, save_checkpoint
 
 FAST_CONFIG = {
@@ -307,6 +307,20 @@ class TestCorruptArtifacts:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("task", ["retrieval", "classification"])
+    def test_empty_eval_split_is_io_error(self, workspace, tmp_path, capsys, task):
+        split = load_dataset(workspace["eval"])
+        empty = tmp_path / "empty.tacd"
+        save_dataset(Dataset(split.spec, split.images[:0], split.captions[:0],
+                             split.latents[:0], split.seed, split.config_digest), empty)
+        assert main(["eval-compat", "--old", workspace["old"], "--taca", workspace["taca"],
+                     "--data", str(empty), "--task", task,
+                     "--config", workspace["cfg"]]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "declares no samples" in err
+
+    # A diverging step overflows; the run stops at that step without numpy warnings.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergent_pretrain_stops_at_its_step(self, workspace, tmp_path,
                                                   capsys):
         cfg = json.loads(json.dumps(FAST_CONFIG))
@@ -323,6 +337,7 @@ class TestCorruptArtifacts:
         assert "train.learning_rate" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergent_train_taca_stops_at_its_step(self, workspace, tmp_path,
                                                     capsys):
         cfg = json.loads(json.dumps(FAST_CONFIG))

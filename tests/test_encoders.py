@@ -190,9 +190,9 @@ def _full_sequence_blocks(weights, x, heads, attachment=None):
             a_out = attachment.apply_adapter(i, "attn", a_out)
         x = ad.add(x, a_out)
         f_in = ad.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-        h = ad.add(ad.matmul(f_in, params[f"{p}.ffn.w1"]), params[f"{p}.ffn.b1"])
+        h = ad.matmul(f_in, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])
         h = ad.gelu(h)
-        h = ad.add(ad.matmul(h, params[f"{p}.ffn.w2"]), params[f"{p}.ffn.b2"])
+        h = ad.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
         if attachment is not None:
             h = attachment.apply_adapter(i, "ffn", h)
         x = ad.add(x, h)
@@ -210,7 +210,7 @@ def reference_encode_image(weights, images, attachment=None):
     cfg, params = weights.config, weights.params
     b, t, k = images.shape[0], cfg.image_spec.num_patches + 1, cfg.width
     patches = Tensor(_patchify_batch(images, cfg.image_spec))
-    x = ad.add(ad.matmul(patches, params["patch_embed"]), params["patch_bias"])
+    x = ad.matmul(patches, params["patch_embed"], params["patch_bias"])
     cls = ad.broadcast_to(ad.reshape(params["cls_token"], (1, 1, k)), (b, 1, k))
     x = ad.concat([cls, x], axis=1)
     x = ad.add(x, ad.broadcast_to(ad.reshape(params["pos_embed"], (1, t, k)), (b, t, k)))

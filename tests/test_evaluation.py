@@ -149,7 +149,7 @@ def tape_train_head(features, labels, num_classes: int, seed: int,
     opt = AdamW([w, b], lr=lr, weight_decay=0.0)
     for _ in range(steps):
         with ad.new_tape():
-            logits = ad.add(ad.matmul(x, w), b)
+            logits = ad.matmul(x, w, b)
             logp = ad.log_softmax_rows(logits)
             loss = ad.scale(ad.sum_all(ad.mul_const(logp, onehot)), -1.0 / n)
             opt.zero_grad()

@@ -91,6 +91,47 @@ class TestAdamW:
         with pytest.raises(ContractError):
             opt.step()
 
+    @staticmethod
+    def _tensors(rng):
+        return [Tensor(rng.normal(size=shape), trainable=True)
+                for shape in ((3, 4), (5,), (2, 3, 2))]
+
+    def test_flat_step_bitwise_equal_to_per_tensor_formula(self):
+        rng = np.random.default_rng(7)
+        params = self._tensors(rng)
+        values = [p.values.copy() for p in params]
+        m = [np.zeros_like(v) for v in values]
+        v2 = [np.zeros_like(v) for v in values]
+        lr, wd = 0.01, 0.05
+        opt = AdamW(params, lr=lr, weight_decay=wd)
+        for t in range(1, 6):
+            grads = [rng.normal(size=v.shape) for v in values]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            for i, g in enumerate(grads):  # the per-tensor AdamW formula
+                m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+                v2[i] = 0.999 * v2[i] + (1.0 - 0.999) * g * g
+                m_hat = m[i] / (1.0 - 0.9 ** t)
+                v_hat = v2[i] / (1.0 - 0.999 ** t)
+                values[i] = values[i] - lr * (m_hat / (np.sqrt(v_hat) + 1e-8)
+                                              + wd * values[i])
+            for p, want in zip(params, values):
+                assert p.values.shape == want.shape
+                assert np.array_equal(p.values, want), t
+
+    def test_missing_grad_changes_no_tensor(self):
+        params = self._tensors(np.random.default_rng(8))
+        before = [p.values.copy() for p in params]
+        opt = AdamW(params, lr=0.1)
+        for p in params[:2]:
+            p.grad = np.ones(p.shape)
+        with pytest.raises(ContractError, match="no gradient"):
+            opt.step()
+        assert opt.step_count == 0
+        for p, want in zip(params, before):
+            assert np.array_equal(p.values, want)
+
     def test_overfits_linear_regression(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(16, 3))

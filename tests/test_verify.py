@@ -21,6 +21,7 @@ class TestGradcheckSuite:
             "lora_forward", "nce", "clip_symmetric_loss", "distill_loss",
             "cross_model_contrastive", "compat_total", "transpose", "reshape",
             "index_select", "concat", "broadcast_to", "embedding_lookup",
+            "matmul_batched_weight", "matmul_batched_bias",
         }
         assert expected <= names
 
