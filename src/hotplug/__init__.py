@@ -15,7 +15,6 @@ from .encoders import (
     encode_image,
     encode_text,
     init_encoder,
-    patchify,
 )
 from .losses import (
     CompatLossConfig,

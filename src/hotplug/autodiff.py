@@ -52,9 +52,6 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, trainable={self.trainable})"
 
@@ -119,8 +116,8 @@ def _record(out: Tensor, parents, vjp):
 def backward(loss: Tensor):
     """Populate ``grad`` on every trainable ancestor of a scalar loss.
 
-    Gradients accumulate into existing ``grad`` buffers (call ``zero_grad``
-    between independent passes).
+    Gradients accumulate into existing ``grad`` buffers (reset ``grad`` to
+    None between independent passes).
     """
     if loss.values.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -329,27 +326,16 @@ def elementwise_activation(a: Tensor, kind: str) -> Tensor:
     raise ParameterError(f"unknown activation kind: {kind!r}")
 
 
-def relu(a: Tensor) -> Tensor:
-    return elementwise_activation(a, "relu")
-
-
-def gelu(a: Tensor) -> Tensor:
-    return elementwise_activation(a, "gelu")
-
-
-def softmax_rows(a: Tensor, temperature: float = 1.0) -> Tensor:
-    """Row-wise (last axis) softmax of ``a / temperature``, max-subtracted."""
-    if not temperature > 0:
-        raise ParameterError(f"softmax temperature must be > 0, got {temperature}")
-    z = a.values / temperature
-    z = z - z.max(axis=-1, keepdims=True)
+def softmax_rows(a: Tensor) -> Tensor:
+    """Row-wise (last axis) softmax, max-subtracted."""
+    z = a.values - a.values.max(axis=-1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(s)
 
     def vjp(g):
         inner = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - inner) / temperature,)
+        return (s * (g - inner),)
 
     _record(out, (a,), vjp)
     return out
@@ -366,7 +352,8 @@ def log_softmax_rows(a: Tensor) -> Tensor:
 
 def l2_normalize_rows(a: Tensor) -> Tensor:
     """Scale each row (last axis) to unit Euclidean norm."""
-    norms = np.linalg.norm(a.values, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # an overflowing row is rejected below
+        norms = np.linalg.norm(a.values, axis=-1, keepdims=True)
     if np.any(norms < EPSILON_NORM):
         raise DegenerateVectorError(
             f"l2_normalize_rows: row norm below {EPSILON_NORM}")

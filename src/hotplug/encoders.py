@@ -151,40 +151,9 @@ def init_encoder(config, seed: int) -> EncoderWeights:
     return EncoderWeights(config, params)
 
 
-def _trunk_param_count(config) -> int:
-    k, d = config.width, config.embed_dim
-    f = FFN_EXPANSION * k
-    block = 4 * k + 4 * k * k + 3 * k + (k * f + f) + (f * k + k)
-    return config.layers * block + 2 * k + k * d
-
-
-def visual_param_count(config: VisualEncoderConfig) -> int:
-    """Closed-form parameter count (checked against enumeration in tests)."""
-    spec, k = config.image_spec, config.width
-    return (spec.patch_dim * k + k + k + (spec.num_patches + 1) * k
-            + _trunk_param_count(config))
-
-
-def text_param_count(config: TextEncoderConfig) -> int:
-    k = config.width
-    return config.vocab_size * k + config.max_len * k + _trunk_param_count(config)
-
-
-def patchify(image, spec: ImageSpec) -> Tensor:
-    """Cut one H x W x C image into flattened patches.
-
-    Patches are ordered row-major over the patch grid; inside a patch, pixels
-    are row-major with the channel index varying fastest.
-    """
-    image = np.asarray(image, dtype=np.float64)
-    if image.shape != (spec.height, spec.width, spec.channels):
-        raise DimensionError(
-            f"image shape {image.shape} does not match spec "
-            f"({spec.height}, {spec.width}, {spec.channels})")
-    return Tensor(_patchify_batch(image[None], spec)[0])
-
-
 def _patchify_batch(images: np.ndarray, spec: ImageSpec) -> np.ndarray:
+    """(B, H, W, C) images to (B, patches, patch_dim): patches row-major over the
+    grid; inside a patch, pixels row-major with the channel varying fastest."""
     b = images.shape[0]
     gh = spec.height // spec.patch
     gw = spec.width // spec.patch
@@ -215,12 +184,12 @@ def _attention(params, prefix: str, x: Tensor, heads: int, attachment=None,
     return ad.matmul(merged, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
 
 
-def _trunk(weights: EncoderWeights, x: Tensor, readout: int, single: bool,
+def _trunk(weights: EncoderWeights, x: Tensor, readout: int,
            attachment=None, collect=None) -> Tensor:
     """The blocks, then ``ln_f``, ``proj`` and unit-normalization of row ``readout``.
 
     The last block keeps only that row after its attention residual, so its FFN
-    runs on (B, width). The embedding is (d,) when ``single``, else (B, d).
+    runs on (B, width). The embedding is (B, d).
     """
     cfg, params = weights.config, weights.params
     for i in range(cfg.layers):
@@ -233,7 +202,8 @@ def _trunk(weights: EncoderWeights, x: Tensor, readout: int, single: bool,
         if i == cfg.layers - 1:  # only the readout row reaches the embedding
             x = ad.index_select(x, 1, readout)
         f_in = ad.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-        h = ad.gelu(ad.matmul(f_in, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"]))
+        h = ad.matmul(f_in, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])
+        h = ad.elementwise_activation(h, "gelu")
         h = ad.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
         if attachment is not None:
             h = attachment.apply_adapter(i, "ffn", h)
@@ -241,16 +211,14 @@ def _trunk(weights: EncoderWeights, x: Tensor, readout: int, single: bool,
         if collect is not None:
             collect.append(x.values.copy())
     head = ad.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
-    emb = ad.l2_normalize_rows(ad.matmul(head, params["proj"]))
-    return ad.reshape(emb, (cfg.embed_dim,)) if single else emb
+    return ad.l2_normalize_rows(ad.matmul(head, params["proj"]))
 
 
 def encode_image(weights: EncoderWeights, images, attachment=None,
                  return_blocks: bool = False):
-    """Embed one image (H, W, C) or a batch (B, H, W, C) to unit vectors.
+    """Embed an image batch (B, H, W, C) to a (B, d) tensor of unit vectors.
 
-    Returns a (d,) tensor for a single image, (B, d) for a batch. With
-    ``return_blocks`` also returns the per-block hidden states (values only):
+    With ``return_blocks`` also returns the per-block hidden states (values only):
     (B, T, width) for every block but the last, whose entry is the CLS row
     alone, (B, width).
     """
@@ -259,13 +227,10 @@ def encode_image(weights: EncoderWeights, images, attachment=None,
     cfg = weights.config
     spec = cfg.image_spec
     images = np.asarray(images, dtype=np.float64)
-    single = images.ndim == 3
-    if single:
-        images = images[None]
     if images.shape[1:] != (spec.height, spec.width, spec.channels):
         raise DimensionError(
             f"image batch shape {images.shape} does not match spec "
-            f"({spec.height}, {spec.width}, {spec.channels})")
+            f"(B, {spec.height}, {spec.width}, {spec.channels})")
     b, t, k = images.shape[0], spec.num_patches + 1, cfg.width
     params = weights.params
     patches = Tensor(_patchify_batch(images, spec))
@@ -275,7 +240,7 @@ def encode_image(weights: EncoderWeights, images, attachment=None,
     pos = ad.broadcast_to(ad.reshape(params["pos_embed"], (1, t, k)), (b, t, k))
     x = ad.add(x, pos)
     collect = [] if return_blocks else None
-    emb = _trunk(weights, x, 0, single, attachment, collect)  # CLS row
+    emb = _trunk(weights, x, 0, attachment, collect)  # CLS row
     return (emb, collect) if return_blocks else emb
 
 
@@ -288,7 +253,7 @@ def encode_chunked(encode, inputs) -> np.ndarray:
 
 
 def encode_text(weights: EncoderWeights, tokens) -> Tensor:
-    """Embed token id sequences (T,) or (B, T); CLS/SEP are added here.
+    """Embed a batch of token id sequences (B, T); CLS/SEP are added here.
 
     The final-layer hidden state at the SEP position is projected and
     unit-normalized.
@@ -297,9 +262,8 @@ def encode_text(weights: EncoderWeights, tokens) -> Tensor:
         raise ConfigError("encode_text requires text weights")
     cfg = weights.config
     tokens = np.asarray(tokens)
-    single = tokens.ndim == 1
-    if single:
-        tokens = tokens[None]
+    if tokens.ndim != 2:
+        raise DimensionError(f"token batch shape {tokens.shape} is not (B, T)")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
         raise ParameterError(
             f"token id out of range for vocab_size {cfg.vocab_size}")
@@ -318,4 +282,4 @@ def encode_text(weights: EncoderWeights, tokens) -> Tensor:
     pos_rows = ad.embedding_lookup(params["pos_embed"], np.arange(seq))
     pos = ad.broadcast_to(ad.reshape(pos_rows, (1, seq, k)), (b, seq, k))
     x = ad.add(x, pos)
-    return _trunk(weights, x, seq - 1, single)  # SEP row
+    return _trunk(weights, x, seq - 1)  # SEP row

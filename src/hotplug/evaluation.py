@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,11 +59,10 @@ class DownstreamHead:
     """Frozen linear classifier on precomputed features."""
     weight: np.ndarray  # (d, num_classes)
     bias: np.ndarray    # (num_classes,)
-    trained_on: str     # "old" | "new"
 
 
 def train_head(features, labels, num_classes: int, seeds, steps: int = 300,
-               lr: float = 0.05, trained_on: str = "old") -> list[DownstreamHead]:
+               lr: float = 0.05) -> list[DownstreamHead]:
     """Softmax cross-entropy heads on frozen features, one per seed, with
     full-batch AdamW. The seeds train as one stack on the closed-form gradient,
     in the tape's op order, so each head is bitwise equal to its seed alone."""
@@ -95,8 +94,7 @@ def train_head(features, labels, num_classes: int, seeds, steps: int = 300,
         b.grad = g.sum(axis=1, keepdims=True)
         w.grad = features.T @ g
         opt.step()
-    return [DownstreamHead(w_s.copy(), b_s[0].copy(), trained_on)
-            for w_s, b_s in zip(w.values, b.values)]
+    return [DownstreamHead(w_s.copy(), b_s[0].copy()) for w_s, b_s in zip(w.values, b.values)]
 
 
 def eval_top1(head: DownstreamHead, features, labels) -> float:
@@ -115,31 +113,25 @@ def eval_top1(head: DownstreamHead, features, labels) -> float:
 
 @dataclass
 class CompatReport:
-    """The three ordering metrics plus recomputed verdict flags."""
+    """The three ordering metrics plus the verdict flags computed from them."""
     task: str
     metric: str
     m_old_old: float
     m_old_new: float
     m_new_new: float | None
-    left_ok: bool
-    right_ok: bool | None
     seeds: list
     config_digests: dict
     per_seed: dict
+    left_ok: bool = field(init=False)
+    right_ok: bool | None = field(init=False)
+
+    def __post_init__(self):
+        self.left_ok = bool(self.m_old_old < self.m_old_new)
+        self.right_ok = (None if self.m_new_new is None
+                         else bool(self.m_old_new < self.m_new_new))
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-
-def make_report(task, metric, m_old_old, m_old_new, m_new_new, seeds,
-                config_digests, per_seed) -> CompatReport:
-    return CompatReport(
-        task=task, metric=metric,
-        m_old_old=m_old_old, m_old_new=m_old_new, m_new_new=m_new_new,
-        left_ok=bool(m_old_old < m_old_new),
-        right_ok=None if m_new_new is None else bool(m_old_new < m_new_new),
-        seeds=list(seeds), config_digests=dict(config_digests),
-        per_seed=per_seed)
 
 
 def canonical_caption_gallery(text_weights, gallery_seed: int = 1234) -> np.ndarray:
@@ -203,15 +195,15 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
         if new_ckpt is not None:
             gallery_new = canonical_caption_gallery(new_text, gallery_seed)
             m_new_new = recall_at_k(new_feats, gallery_new, labels, k)
-        return make_report("retrieval", f"recall@{k}", m_old_old, m_old_new,
-                           m_new_new, [], digests, {})
+        return CompatReport("retrieval", f"recall@{k}", m_old_old, m_old_new,
+                            m_new_new, [], digests, {})
 
     half = n // 2
-    heads = lambda feats, role: train_head(feats[:half], labels[:half], NUM_FACTORS,
-                                           seeds=head_seeds, trained_on=role)
+    heads = lambda feats: train_head(feats[:half], labels[:half], NUM_FACTORS,
+                                     seeds=head_seeds)
     top1 = lambda head, feats: eval_top1(head, feats[half:], labels[half:])
     per_seed = {"m_old_old": [], "m_old_new": [], "m_new_new": []}
-    for head in heads(old_feats, "old"):
+    for head in heads(old_feats):
         frozen = (head.weight.copy(), head.bias.copy())
         per_seed["m_old_old"].append(top1(head, old_feats))
         per_seed["m_old_new"].append(top1(head, adapted_feats))
@@ -219,11 +211,11 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
                 and np.array_equal(frozen[1], head.bias)):
             raise ContractError("old head mutated during hot-plug evaluation")
     if new_ckpt is not None:
-        per_seed["m_new_new"] = [top1(head, new_feats) for head in heads(new_feats, "new")]
+        per_seed["m_new_new"] = [top1(head, new_feats) for head in heads(new_feats)]
     med = lambda xs: float(np.median(xs)) if xs else None
-    return make_report("classification", "top1", med(per_seed["m_old_old"]),
-                       med(per_seed["m_old_new"]), med(per_seed["m_new_new"]),
-                       list(head_seeds), digests, per_seed)
+    return CompatReport("classification", "top1", med(per_seed["m_old_old"]),
+                        med(per_seed["m_old_new"]), med(per_seed["m_new_new"]),
+                        list(head_seeds), digests, per_seed)
 
 
 def raw_swap_baseline(old_ckpt: Checkpoint, new_ckpt: Checkpoint,

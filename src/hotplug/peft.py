@@ -76,20 +76,14 @@ class DimensionProjector:
 
 
 def projector_forward(projector: DimensionProjector, v: Tensor) -> Tensor:
-    if not v.shape or v.shape[-1] != projector.dim_new:
+    """Map a (B, d_new) batch to (B, d_old) unit vectors."""
+    if len(v.shape) != 2 or v.shape[-1] != projector.dim_new:
         raise DimensionError(
-            f"projector expects last dim {projector.dim_new}, got {v.shape}")
-    h = ad.matmul(_as_rows(v), projector.w1, projector.b1)
+            f"projector expects (B, {projector.dim_new}), got {v.shape}")
+    h = ad.matmul(v, projector.w1, projector.b1)
     h = ad.elementwise_activation(h, projector.activation)
     h = ad.matmul(h, projector.w2, projector.b2)
-    h = ad.l2_normalize_rows(h)
-    if len(v.shape) == 1:
-        h = ad.reshape(h, (projector.dim_old,))
-    return h
-
-
-def _as_rows(v: Tensor) -> Tensor:
-    return ad.reshape(v, (1, v.shape[0])) if len(v.shape) == 1 else v
+    return ad.l2_normalize_rows(h)
 
 
 class LoRAModule:

@@ -55,8 +55,8 @@ def gradcheck_cases(seeds=range(20)):
         yield ("mul", _check(
             lambda x: ad.sum_all(ad.mul(x, other)), rng.normal(size=(3, 4))))
         yield ("softmax_rows", _check(
-            lambda x: ad.mean_all(ad.mul(ad.softmax_rows(x, 0.5),
-                                         ad.softmax_rows(x, 0.5))),
+            lambda x: ad.mean_all(ad.mul(ad.softmax_rows(ad.scale(x, 2.0)),
+                                         ad.softmax_rows(ad.scale(x, 2.0)))),
             rng.normal(size=(3, 5))))
         yield ("log_softmax_rows", _check(
             lambda x: ad.mean_all(ad.mul(ad.log_softmax_rows(x),
@@ -71,11 +71,12 @@ def gradcheck_cases(seeds=range(20)):
             lambda x: ad.mean_all(ad.mul(ad.layer_norm(x, gain, bias),
                                          ad.layer_norm(x, gain, bias))),
             rng.normal(size=(4, 6))))
+        act = ad.elementwise_activation
         yield ("relu", _check(
-            lambda x: ad.sum_all(ad.mul(ad.relu(x), ad.relu(x))),
+            lambda x: ad.sum_all(ad.mul(act(x, "relu"), act(x, "relu"))),
             random_point(rng, (3, 4), min_abs=10 * STEP)))
         yield ("gelu", _check(
-            lambda x: ad.sum_all(ad.mul(ad.gelu(x), ad.gelu(x))),
+            lambda x: ad.sum_all(ad.mul(act(x, "gelu"), act(x, "gelu"))),
             rng.normal(size=(3, 4))))
 
         adapter = Adapter(6, 3, "gelu", rng)

@@ -34,6 +34,11 @@ def _median(values):
     return float(np.median(values))
 
 
+def _per_seed(values) -> str:
+    """The figures behind a median, seed by seed, so a flip on one seed shows."""
+    return "/".join(f"{v:.3f}" for v in values)
+
+
 @pytest.fixture(scope="session")
 def pipeline(tmp_path_factory):
     """Default pipeline per seed, plus the two ablation arms for A8.
@@ -131,17 +136,18 @@ def test_a2_closed_form_losses():
 
 
 def test_a3_left_ordering(pipeline):
-    margins = {}
+    margins, seeds = {}, {}
     for task in ("retrieval", "classification"):
-        old = _median([pipeline["runs"][(s, "default")]["reports"][task]["m_old_old"]
-                       for s in PIPELINE_SEEDS])
-        new = _median([pipeline["runs"][(s, "default")]["reports"][task]["m_old_new"]
-                       for s in PIPELINE_SEEDS])
+        olds, news = ([pipeline["runs"][(s, "default")]["reports"][task][key]
+                       for s in PIPELINE_SEEDS] for key in ("m_old_old", "m_old_new"))
+        old, new = _median(olds), _median(news)
         margins[task] = (old, new, new - old)
+        seeds[task] = f"{_per_seed(olds)} -> {_per_seed(news)}"
     elapsed = pipeline["t_core"]
     ok = all(m >= 0.02 for _, _, m in margins.values()) and elapsed < 600.0
     detail = "; ".join(
-        f"{task} median {old:.4f} -> {new:.4f} (margin {m:+.4f}, need >= 0.02)"
+        f"{task} median {old:.4f} -> {new:.4f} (margin {m:+.4f}, need >= 0.02), "
+        f"per seed {seeds[task]}"
         for task, (old, new, m) in margins.items())
     _verdict("A3", ok, f"{detail}; {elapsed:.0f}s (< 600s)")
 
@@ -240,15 +246,16 @@ def test_a7_parameter_accounting():
 
 
 def test_a8_ablation_directions(pipeline):
-    med = lambda arm: _median(
-        [pipeline["runs"][(s, arm)]["reports"]["retrieval"]["m_old_new"]
-         for s in PIPELINE_SEEDS])
-    full, lam0, dp2 = med("default"), med("lam0"), med("dp2")
+    arms = {arm: [pipeline["runs"][(s, arm)]["reports"]["retrieval"]["m_old_new"]
+                  for s in PIPELINE_SEEDS] for arm in ("default", "lam0", "dp2")}
+    full, lam0, dp2 = (_median(arms[arm]) for arm in ("default", "lam0", "dp2"))
     elapsed = pipeline["t_total"]
     ok = full >= lam0 and full >= dp2 and elapsed < 1500.0
     _verdict("A8", ok,
              f"median m_old_new: full {full:.4f} >= contrastive-only {lam0:.4f}; "
-             f"d'=16 {full:.4f} >= d'=2 {dp2:.4f}; {elapsed:.0f}s (< 1500s)")
+             f"d'=16 {full:.4f} >= d'=2 {dp2:.4f}; per seed full "
+             f"{_per_seed(arms['default'])}, contrastive-only {_per_seed(arms['lam0'])}, "
+             f"d'=2 {_per_seed(arms['dp2'])}; {elapsed:.0f}s (< 1500s)")
 
 
 def test_a9_determinism_and_formats(tmp_path):

@@ -5,6 +5,7 @@ from hotplug import autodiff as ad
 from hotplug.autodiff import Tensor
 from hotplug.encoders import (
     ENCODE_CHUNK,
+    FFN_EXPANSION,
     EncoderWeights,
     ImageSpec,
     TextEncoderConfig,
@@ -13,15 +14,12 @@ from hotplug.encoders import (
     encode_image,
     encode_text,
     init_encoder,
-    patchify,
-    text_param_count,
-    visual_param_count,
     _attention,
     _patchify_batch,
 )
 from hotplug.errors import ConfigError, DimensionError, ParameterError
 from hotplug.losses import clip_symmetric_loss
-from hotplug.peft import TacaConfig, attach_taca
+from hotplug.peft import DimensionProjector, TacaConfig, attach_taca, projector_forward
 
 SPEC = ImageSpec(16, 16, 1, 4)
 VCFG = VisualEncoderConfig(SPEC, layers=2, width=32, heads=4, embed_dim=16)
@@ -45,25 +43,21 @@ class TestImageSpec:
 class TestPatchify:
     def test_patch_count_and_size(self):
         spec = ImageSpec(4, 4, 1, 2)
-        out = patchify(np.arange(16.0).reshape(4, 4, 1), spec)
+        out = _patchify_batch(np.arange(16.0).reshape(4, 4, 1)[None], spec)[0]
         assert out.shape == (4, 4)
 
     def test_single_pixel_patches_ordering(self):
         spec = ImageSpec(2, 2, 1, 1)
         image = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])
-        out = patchify(image, spec)
-        assert np.array_equal(out.values, [[1.0], [2.0], [3.0], [4.0]])
+        out = _patchify_batch(image[None], spec)[0]
+        assert np.array_equal(out, [[1.0], [2.0], [3.0], [4.0]])
 
     def test_within_patch_layout(self):
         spec = ImageSpec(2, 2, 1, 2)
         image = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])
-        out = patchify(image, spec)
+        out = _patchify_batch(image[None], spec)[0]
         # one patch, pixels row-major
-        assert np.array_equal(out.values, [[1.0, 2.0, 3.0, 4.0]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            patchify(np.zeros((5, 4, 1)), ImageSpec(4, 4, 1, 2))
+        assert np.array_equal(out, [[1.0, 2.0, 3.0, 4.0]])
 
 
 class TestEncodeImage:
@@ -73,8 +67,8 @@ class TestEncodeImage:
         self.image = self.rng.uniform(size=(16, 16, 1))
 
     def test_output_dim(self):
-        out = encode_image(self.weights, self.image)
-        assert out.shape == (16,)
+        out = encode_image(self.weights, self.image[None])
+        assert out.shape == (1, 16)
 
     def test_unit_norm(self):
         batch = self.rng.uniform(size=(5, 16, 16, 1))
@@ -83,20 +77,20 @@ class TestEncodeImage:
                                    atol=1e-12)
 
     def test_deterministic(self):
-        a = encode_image(self.weights, self.image).values
-        b = encode_image(self.weights, self.image).values
+        a = encode_image(self.weights, self.image[None]).values
+        b = encode_image(self.weights, self.image[None]).values
         assert np.array_equal(a, b)
 
     def test_pixel_flip_changes_embedding(self):
-        base = encode_image(self.weights, self.image).values
+        base = encode_image(self.weights, self.image[None]).values
         flipped = self.image.copy()
         flipped[3, 5, 0] = 1.0 - flipped[3, 5, 0]
-        other = encode_image(self.weights, flipped).values
+        other = encode_image(self.weights, flipped[None]).values
         assert np.linalg.norm(base - other) > 0
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            encode_image(self.weights, np.zeros((8, 8, 1)))
+            encode_image(self.weights, np.zeros((1, 8, 8, 1)))
 
 
 class TestEncodeText:
@@ -104,21 +98,52 @@ class TestEncodeText:
         self.weights = init_encoder(TCFG, seed=1)
 
     def test_output_dim(self):
-        out = encode_text(self.weights, np.array([4, 9, 13, 20]))
-        assert out.shape == (16,)
+        out = encode_text(self.weights, np.array([[4, 9, 13, 20]]))
+        assert out.shape == (1, 16)
 
     def test_permuting_tokens_changes_embedding(self):
-        a = encode_text(self.weights, np.array([4, 9, 13, 20])).values
-        b = encode_text(self.weights, np.array([4, 13, 9, 20])).values
+        a = encode_text(self.weights, np.array([[4, 9, 13, 20]])).values
+        b = encode_text(self.weights, np.array([[4, 13, 9, 20]])).values
         assert np.linalg.norm(a - b) > 0
 
     def test_out_of_vocab(self):
         with pytest.raises(ParameterError):
-            encode_text(self.weights, np.array([4, 32]))
+            encode_text(self.weights, np.array([[4, 32]]))
 
     def test_overlong_sequence(self):
         with pytest.raises(DimensionError):
-            encode_text(self.weights, np.arange(11) % 32)
+            encode_text(self.weights, (np.arange(11) % 32)[None])
+
+
+def test_single_samples_are_rejected():
+    """Encoders and the projector take batches only: one image, one token row
+    or one feature vector is a shape error, not a batch of one."""
+    with pytest.raises(DimensionError, match=r"\(B, 16, 16, 1\)"):
+        encode_image(init_encoder(VCFG, seed=0), np.zeros((16, 16, 1)))
+    with pytest.raises(DimensionError, match=r"\(B, T\)"):
+        encode_text(init_encoder(TCFG, seed=1), np.array([4, 9, 13, 20]))
+    projector = DimensionProjector(8, 5, 4, "relu", np.random.default_rng(0))
+    with pytest.raises(DimensionError, match=r"\(B, 8\)"):
+        projector_forward(projector, Tensor(np.ones(8)))
+
+
+def _trunk_param_count(config) -> int:
+    k, d = config.width, config.embed_dim
+    f = FFN_EXPANSION * k
+    block = 4 * k + 4 * k * k + 3 * k + (k * f + f) + (f * k + k)
+    return config.layers * block + 2 * k + k * d
+
+
+def visual_param_count(config: VisualEncoderConfig) -> int:
+    """Closed-form parameter count: the oracle of the enumeration test."""
+    spec, k = config.image_spec, config.width
+    return (spec.patch_dim * k + k + k + (spec.num_patches + 1) * k
+            + _trunk_param_count(config))
+
+
+def text_param_count(config: TextEncoderConfig) -> int:
+    k = config.width
+    return config.vocab_size * k + config.max_len * k + _trunk_param_count(config)
 
 
 class TestInitEncoder:
@@ -191,7 +216,7 @@ def _full_sequence_blocks(weights, x, heads, attachment=None):
         x = ad.add(x, a_out)
         f_in = ad.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
         h = ad.matmul(f_in, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])
-        h = ad.gelu(h)
+        h = ad.elementwise_activation(h, "gelu")
         h = ad.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
         if attachment is not None:
             h = attachment.apply_adapter(i, "ffn", h)
@@ -250,7 +275,7 @@ def _attached(variant):
 
 def _grads(tensors, encode_image_fn, encode_text_fn, images, tokens):
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     with ad.new_tape():
         ad.backward(clip_symmetric_loss(encode_image_fn(images),
                                         encode_text_fn(tokens), 0.07))

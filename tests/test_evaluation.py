@@ -14,11 +14,11 @@ from hotplug.encoders import (
 )
 from hotplug.errors import ConfigError, ContractError, ParameterError
 from hotplug.evaluation import (
+    CompatReport,
     DownstreamHead,
     canonical_caption_gallery,
     eval_top1,
     hot_plug_report,
-    make_report,
     raw_swap_baseline,
     recall_at_k,
     train_head,
@@ -129,7 +129,7 @@ class TestRecallAtK:
 
 
 def tape_train_head(features, labels, num_classes: int, seed: int,
-                    steps: int = 300, lr: float = 0.05, trained_on: str = "old") -> DownstreamHead:
+                    steps: int = 300, lr: float = 0.05) -> DownstreamHead:
     """Softmax cross-entropy on frozen features with full-batch AdamW."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -155,7 +155,7 @@ def tape_train_head(features, labels, num_classes: int, seed: int,
             opt.zero_grad()
             ad.backward(loss)
             opt.step()
-    return DownstreamHead(w.values.copy(), b.values.copy(), trained_on)
+    return DownstreamHead(w.values.copy(), b.values.copy())
 
 
 class TestTrainHead:
@@ -186,7 +186,7 @@ class TestTrainHead:
         rng = np.random.default_rng(n + d)
         feats = unit_rows(rng.normal(size=(n, d)))
         labels = rng.permutation(np.arange(n) % num_classes)
-        heads = train_head(feats, labels, num_classes, seeds=seeds, trained_on="new")
+        heads = train_head(feats, labels, num_classes, seeds=seeds)
         assert len(heads) == len(seeds)
         for seed, head in zip(seeds, heads):
             want = tape_train_head(feats, labels, num_classes, seed=seed)
@@ -194,7 +194,6 @@ class TestTrainHead:
             assert head.bias.shape == (num_classes,)
             assert np.array_equal(head.weight, want.weight), seed
             assert np.array_equal(head.bias, want.bias), seed
-            assert head.trained_on == "new"
 
     def test_records_nothing_on_the_tape(self, monkeypatch):
         def no_record(*args):
@@ -233,7 +232,7 @@ class TestTrainHead:
 
 class TestEvalTop1:
     def test_perfect_predictor(self):
-        head = DownstreamHead(np.eye(3), np.zeros(3), "old")
+        head = DownstreamHead(np.eye(3), np.zeros(3))
         feats = np.eye(3) * 5
         assert eval_top1(head, feats, np.arange(3)) == 1.0
 
@@ -241,7 +240,7 @@ class TestEvalTop1:
         rng = np.random.default_rng(5)
         num_classes, n = 8, 4000
         head = DownstreamHead(rng.normal(size=(4, num_classes)),
-                              np.zeros(num_classes), "old")
+                              np.zeros(num_classes))
         feats = rng.normal(size=(n, 4))
         labels = rng.integers(0, num_classes, size=n)
         acc = eval_top1(head, feats, labels)
@@ -250,20 +249,20 @@ class TestEvalTop1:
         assert abs(acc - p) < 3 * sigma
 
     def test_empty_rejected(self):
-        head = DownstreamHead(np.eye(2), np.zeros(2), "old")
+        head = DownstreamHead(np.eye(2), np.zeros(2))
         with pytest.raises(ContractError):
             eval_top1(head, np.empty((0, 2)), np.empty(0, dtype=int))
 
 
 class TestReportFlags:
     def test_flags_recomputed_from_values(self):
-        r = make_report("retrieval", "recall@1", 0.4, 0.6, 0.8, [0], {}, {})
+        r = CompatReport("retrieval", "recall@1", 0.4, 0.6, 0.8, [0], {}, {})
         assert r.left_ok and r.right_ok
-        r = make_report("retrieval", "recall@1", 0.6, 0.4, None, [0], {}, {})
+        r = CompatReport("retrieval", "recall@1", 0.6, 0.4, None, [0], {}, {})
         assert not r.left_ok and r.right_ok is None
 
     def test_json_schema(self):
-        r = make_report("retrieval", "recall@1", 0.4, 0.6, None, [0, 1], {}, {})
+        r = CompatReport("retrieval", "recall@1", 0.4, 0.6, None, [0, 1], {}, {})
         doc = json.loads(r.to_json())
         for field in ("task", "metric", "m_old_old", "m_old_new", "m_new_new",
                       "left_ok", "right_ok", "seeds"):
@@ -373,7 +372,7 @@ class TestHotPlugReport:
             expected["m_old_new"].append(
                 eval_top1(head_old, features(adapted.encode, eval_x), eval_y))
             [head_new] = train_head(features(new_enc, head_x), head_y,
-                                    NUM_FACTORS, seeds=(seed,), trained_on="new")
+                                    NUM_FACTORS, seeds=(seed,))
             expected["m_new_new"].append(
                 eval_top1(head_new, features(new_enc, eval_x), eval_y))
         assert report.per_seed == expected

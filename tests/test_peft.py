@@ -80,14 +80,14 @@ class TestProjector:
         return DimensionProjector(8, 5, 4, "relu", np.random.default_rng(seed))
 
     def test_output_dim(self):
-        out = projector_forward(self.make(), Tensor(np.ones(8)))
-        assert out.shape == (4,)
+        out = projector_forward(self.make(), Tensor(np.ones((1, 8))))
+        assert out.shape == (1, 4)
 
     def test_zero_weights_give_normalized_bias(self):
         proj = self.make()
         bias = proj.b2.values.copy()
-        out = projector_forward(proj, Tensor(np.full(8, 0.7)))
-        np.testing.assert_allclose(out.values, bias / np.linalg.norm(bias),
+        out = projector_forward(proj, Tensor(np.full((1, 8), 0.7)))
+        np.testing.assert_allclose(out.values[0], bias / np.linalg.norm(bias),
                                    atol=1e-12)
 
     def test_unit_norm_output(self):
