@@ -112,7 +112,8 @@ def cmd_eval_compat(args) -> int:
     taca_ckpt = load_checkpoint(args.taca)
     new_ckpt = load_checkpoint(args.new_cold) if args.new_cold else None
     _check_digests(old_ckpt, new_ckpt, taca_ckpt, args.force)
-    report = hot_plug_report(old_ckpt, taca_ckpt, new_ckpt, dataset, args.task, **settings)
+    report = hot_plug_report(old_ckpt, taca_ckpt, new_ckpt, dataset, args.task,
+                             force=args.force, **settings)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_json() + "\n")
@@ -172,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--force", action="store_true",
-                   help="proceed despite config-digest mismatches")
+                   help="proceed despite config-digest or backbone mismatches")
     p.add_argument("--config")
     p.set_defaults(func=cmd_eval_compat)
 

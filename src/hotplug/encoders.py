@@ -24,6 +24,9 @@ INIT_STD = 0.02
 # (OpenBLAS, default encoders); a 1-row chunk, numpy's GEMV path, differs, so
 # encode_chunked folds a 1-row tail into the chunk before it (64 + 1 rows).
 ENCODE_CHUNK = 64
+# A block's hook points, in forward order: the attention's q/v weights (LoRA),
+# the attention output and the FFN output (adapters).
+SITES = ("qv", "attn", "ffn")
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,14 @@ class EncoderWeights:
 
     def clone_values(self) -> dict[str, np.ndarray]:
         return {name: t.values.copy() for name, t in self.params.items()}
+
+    def first_difference(self, other: "EncoderWeights") -> str | None:
+        """The first parameter that is not bitwise equal in ``other`` (or that
+        only one of the two has); None when none is."""
+        mine, theirs = self.params, other.params
+        return next((name for name in dict.fromkeys([*mine, *theirs])
+                     if name not in mine or name not in theirs
+                     or not np.array_equal(mine[name].values, theirs[name].values)), None)
 
 
 def _init_block(rng: np.random.Generator, params, prefix: str, width: int):
@@ -184,44 +195,47 @@ def _attention(params, prefix: str, x: Tensor, heads: int, attachment=None,
     return ad.matmul(merged, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
 
 
-def _trunk(weights: EncoderWeights, x: Tensor, readout: int,
-           attachment=None, collect=None) -> Tensor:
-    """The blocks, then ``ln_f``, ``proj`` and unit-normalization of row ``readout``.
+def _trunk(weights: EncoderWeights, fork: tuple, readout: int,
+           attachment=None, collect=None, stop=None):
+    """From ``fork`` on: the blocks, then ``ln_f``, ``proj`` and unit-normalization
+    of row ``readout``, a (B, d) embedding.
 
-    The last block keeps only that row after its attention residual, so its FFN
-    runs on (B, width). The embedding is (B, d).
+    A fork (block, site, x, y) is the state before a site's hook: the residual
+    stream ``x`` and the output ``y`` the hook acts on (None at "qv"); the stem's
+    is (0, "qv", stem, None). With ``stop`` = (block, site) the trunk returns its
+    fork there instead. The last block keeps only the readout row after its
+    attention residual, so its FFN runs on (B, width).
     """
     cfg, params = weights.config, weights.params
-    for i in range(cfg.layers):
+    first, site, x, y = fork
+    for i in range(first, cfg.layers):
         p = f"block{i}"
-        a_in = ad.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        a_out = _attention(params, p, a_in, cfg.heads, attachment, i)
-        if attachment is not None:
-            a_out = attachment.apply_adapter(i, "attn", a_out)
-        x = ad.add(x, a_out)
-        if i == cfg.layers - 1:  # only the readout row reaches the embedding
-            x = ad.index_select(x, 1, readout)
-        f_in = ad.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-        h = ad.matmul(f_in, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])
-        h = ad.elementwise_activation(h, "gelu")
-        h = ad.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
-        if attachment is not None:
-            h = attachment.apply_adapter(i, "ffn", h)
-        x = ad.add(x, h)
-        if collect is not None:
-            collect.append(x.values.copy())
+        for s in SITES[SITES.index(site) if i == first else 0:]:
+            if (i, s) == stop:
+                return i, s, x, y
+            if s == "qv":  # LoRA's hook sits inside the attention
+                a_in = ad.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
+                y = _attention(params, p, a_in, cfg.heads, attachment, i)
+                continue
+            if attachment is not None:
+                y = attachment.apply_adapter(i, s, y)
+            x = ad.add(x, y)
+            if s == "attn":
+                if i == cfg.layers - 1:  # only the readout row reaches the embedding
+                    x = ad.index_select(x, 1, readout)
+                f_in = ad.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
+                h = ad.matmul(f_in, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])
+                h = ad.elementwise_activation(h, "gelu")
+                y = ad.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
+            elif collect is not None:
+                collect.append(x.values.copy())
     head = ad.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
     return ad.l2_normalize_rows(ad.matmul(head, params["proj"]))
 
 
-def encode_image(weights: EncoderWeights, images, attachment=None,
-                 return_blocks: bool = False):
-    """Embed an image batch (B, H, W, C) to a (B, d) tensor of unit vectors.
-
-    With ``return_blocks`` also returns the per-block hidden states (values only):
-    (B, T, width) for every block but the last, whose entry is the CLS row
-    alone, (B, width).
-    """
+def _image_stem(weights: EncoderWeights, images) -> tuple:
+    """The trunk's starting fork for an image batch (B, H, W, C): patches, CLS
+    and positions."""
     if not isinstance(weights.config, VisualEncoderConfig):
         raise ConfigError("encode_image requires visual weights")
     cfg = weights.config
@@ -238,18 +252,41 @@ def encode_image(weights: EncoderWeights, images, attachment=None,
     cls = ad.broadcast_to(ad.reshape(params["cls_token"], (1, 1, k)), (b, 1, k))
     x = ad.concat([cls, x], axis=1)
     pos = ad.broadcast_to(ad.reshape(params["pos_embed"], (1, t, k)), (b, t, k))
-    x = ad.add(x, pos)
+    return 0, "qv", ad.add(x, pos), None
+
+
+def encode_image(weights: EncoderWeights, images, attachment=None,
+                 return_blocks: bool = False):
+    """Embed an image batch (B, H, W, C) to a (B, d) tensor of unit vectors.
+
+    With ``return_blocks`` also returns the per-block hidden states (values only):
+    (B, T, width) for every block but the last, whose entry is the CLS row
+    alone, (B, width).
+    """
     collect = [] if return_blocks else None
-    emb = _trunk(weights, x, 0, attachment, collect)  # CLS row
+    emb = _trunk(weights, _image_stem(weights, images), 0, attachment, collect)  # CLS row
     return (emb, collect) if return_blocks else emb
 
 
-def encode_chunked(encode, inputs) -> np.ndarray:
-    """``encode``'s Tensor values, ENCODE_CHUNK rows at a time, under no_grad."""
+def encode_image_forked(weights: EncoderWeights, images, attachment,
+                        site: tuple) -> tuple[Tensor, Tensor]:
+    """``encode_image`` of one batch with and without ``attachment``, from one
+    pass up to ``site`` = (block, one of SITES), where its first hook sits. Each
+    is bitwise equal to its own whole pass."""
+    fork = _trunk(weights, _image_stem(weights, images), 0, stop=site)
+    return _trunk(weights, fork, 0, attachment), _trunk(weights, fork, 0)
+
+
+def encode_chunked(encode, inputs):
+    """``encode``'s Tensor values, ENCODE_CHUNK rows at a time, under no_grad. An
+    ``encode`` that returns a tuple of Tensors gives a tuple of arrays."""
     stops = [*range(ENCODE_CHUNK, inputs.shape[0] - 1, ENCODE_CHUNK), inputs.shape[0]]
     with ad.no_grad():  # no 1-row chunk unless the input has 1 row
-        chunks = [encode(inputs[a:b]).values for a, b in zip([0, *stops], stops)]
-    return np.concatenate(chunks, axis=0)
+        chunks = [encode(inputs[a:b]) for a, b in zip([0, *stops], stops)]
+    if isinstance(chunks[0], Tensor):
+        return np.concatenate([c.values for c in chunks], axis=0)
+    return tuple(np.concatenate([c.values for c in column], axis=0)
+                 for column in zip(*chunks))
 
 
 def encode_text(weights: EncoderWeights, tokens) -> Tensor:
@@ -281,5 +318,4 @@ def encode_text(weights: EncoderWeights, tokens) -> Tensor:
     x = ad.embedding_lookup(params["tok_embed"], full)
     pos_rows = ad.embedding_lookup(params["pos_embed"], np.arange(seq))
     pos = ad.broadcast_to(ad.reshape(pos_rows, (1, seq, k)), (b, seq, k))
-    x = ad.add(x, pos)
-    return _trunk(weights, x, seq - 1)  # SEP row
+    return _trunk(weights, (0, "qv", ad.add(x, pos), None), seq - 1)  # SEP row

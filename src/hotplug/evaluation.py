@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,13 +87,21 @@ def train_head(features, labels, num_classes: int, seeds, steps: int = 300,
     g0[np.arange(n), labels] = -1.0 / n
     g0_sum = g0.sum(axis=-1, keepdims=True)
     opt = AdamW([w, b], lr=lr, weight_decay=0.0)
-    for _ in range(steps):
-        z = features @ w.values + b.values  # (S, n, C) logits
-        z -= z.max(axis=-1, keepdims=True)
-        z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))  # log-softmax
-        g = g0 - np.exp(z) * g0_sum  # d(loss)/d(logits)
-        b.grad = g.sum(axis=1, keepdims=True)
-        w.grad = features.T @ g
+    z, g = np.empty((2, len(seeds), n, num_classes))
+    row = np.empty((len(seeds), n, 1))
+    w.grad, b.grad = np.empty_like(w.values), np.empty_like(b.values)
+    for _ in range(steps):  # the tape's ops, in its order, in place
+        np.matmul(features, w.values, out=z)
+        z += b.values  # (S, n, C) logits
+        z -= np.max(z, axis=-1, keepdims=True, out=row)
+        np.exp(z, out=g)
+        np.log(np.sum(g, axis=-1, keepdims=True, out=row), out=row)
+        z -= row  # log-softmax
+        np.exp(z, out=g)
+        g *= g0_sum
+        np.subtract(g0, g, out=g)  # d(loss)/d(logits)
+        np.sum(g, axis=1, keepdims=True, out=b.grad)
+        np.matmul(features.T, g, out=w.grad)
         opt.step()
     return [DownstreamHead(w_s.copy(), b_s[0].copy()) for w_s, b_s in zip(w.values, b.values)]
 
@@ -149,14 +158,18 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
                     new_ckpt: Checkpoint | None, eval_dataset: Dataset,
                     task: str, k: int = 1, head_seeds=(0,),
                     adapted_extractor=None,
-                    gallery_seed: int = 1234) -> CompatReport:
+                    gallery_seed: int = 1234, force: bool = False) -> CompatReport:
     """Build the compatibility-ordering report for one trained pipeline.
 
     ``adapted_extractor`` overrides the hot-plugged feature extractor (a
     callable mapping an image batch to a feature Tensor); by default it is rebuilt
-    from the attachment checkpoint. ``new_ckpt`` supplies the cold-plug upper
-    bound and may be omitted. Each encoder encodes the eval split once; for
-    classification the first half trains the heads and the second is scored.
+    from the attachment checkpoint, on the backbone embedded there. ``new_ckpt``
+    supplies the cold-plug upper bound and may be omitted; its visual encoder
+    must be that backbone, bitwise, unless ``force`` is given. Each encoder
+    encodes the eval split once, in one chunk loop; the default hot-plugged and
+    the cold-plug encoders share one backbone pass up to the attachment's first
+    hooked site. For classification the first half trains the heads and the
+    second is scored.
     """
     if task not in ("retrieval", "classification"):
         raise ConfigError(f"unknown task {task!r}")
@@ -167,13 +180,26 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
     new_visual = new_text = None
     if new_ckpt is not None:
         new_visual, new_text, _ = clip_encoders_from_checkpoint(new_ckpt)
+    hot_and_cold = None  # a batch's hot-plugged and cold-plug features
     if adapted_extractor is None:
-        _, adapted = attachment_from_checkpoint(taca_ckpt, new_visual)
+        _, adapted = attachment_from_checkpoint(taca_ckpt)
         if adapted.attachment.projector.dim_old != old_visual.config.embed_dim:
             raise ConfigError(
                 f"projector output dim {adapted.attachment.projector.dim_old} "
                 f"!= old embed dim {old_visual.config.embed_dim}")
         adapted_extractor = adapted.encode
+        differs = new_visual and new_visual.first_difference(adapted.weights)
+        if differs:
+            msg = (f"new checkpoint visual tensor {differs!r} is not bitwise "
+                   f"equal to the backbone embedded in the attachment")
+            if not force:
+                raise ConfigError(msg + " (use --force to override)")
+            print(f"warning: {msg}", file=sys.stderr)
+        elif new_visual is not None:
+            hot_and_cold = adapted.encode_with_backbone  # one backbone pass
+    if hot_and_cold is None:  # separate passes; no cold-plug without new_ckpt
+        hot_and_cold = lambda x: (adapted_extractor(x),) + (
+            () if new_visual is None else (encode_image(new_visual, x),))
     digests = {
         "old": old_ckpt.meta.get("config_digest", ""),
         "taca": taca_ckpt.meta.get("config_digest", ""),
@@ -182,10 +208,9 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
 
     images = eval_dataset.images
     labels = eval_dataset.factor_indices()
-    old_feats = encode_chunked(lambda x: encode_image(old_visual, x), images)
-    adapted_feats = encode_chunked(adapted_extractor, images)
-    new_feats = (None if new_ckpt is None else
-                 encode_chunked(lambda x: encode_image(new_visual, x), images))
+    old_feats, adapted_feats, *new_feats = encode_chunked(
+        lambda x: (encode_image(old_visual, x), *hot_and_cold(x)), images)
+    new_feats = new_feats[0] if new_feats else None
 
     if task == "retrieval":
         gallery_old = canonical_caption_gallery(old_text, gallery_seed)

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoders import EncoderWeights, VisualEncoderConfig, encode_image
+from .encoders import (SITES, EncoderWeights, VisualEncoderConfig, encode_image,
+                       encode_image_forked)
 from .errors import ConfigError, DimensionError, checked, check_fields
 
 PROJECTOR_INIT_STD = 0.02
@@ -175,6 +176,12 @@ class TacaAttachment:
         out["projector.b2"] = self.projector.b2
         return out
 
+    def first_site(self) -> tuple:
+        """The (block, site) of the first hook in forward order; LoRA hooks a
+        block's "qv", adapters its "attn" or "ffn" output (encoders.SITES)."""
+        hooks = [*self.adapters, *((layer, "qv") for layer, _ in self.loras)]
+        return min(hooks, key=lambda hook: (hook[0], SITES.index(hook[1])))
+
     # Hooks consulted by the encoder forward.
     def apply_adapter(self, layer: int, site: str, x: Tensor) -> Tensor:
         adapter = self.adapters.get((layer, site))
@@ -197,6 +204,13 @@ class AdaptedVisualEncoder:
     def encode(self, images) -> Tensor:
         feats = encode_image(self.weights, images, attachment=self.attachment)
         return projector_forward(self.attachment.projector, feats)
+
+    def encode_with_backbone(self, images) -> tuple[Tensor, Tensor]:
+        """(``encode``, the bare backbone's ``encode_image``) of one batch, from one
+        backbone pass up to the attachment's first hooked site."""
+        feats, bare = encode_image_forked(self.weights, images, self.attachment,
+                                          self.attachment.first_site())
+        return projector_forward(self.attachment.projector, feats), bare
 
 
 def attach_taca(new_encoder: EncoderWeights, config: TacaConfig, dim_old: int,

@@ -429,6 +429,28 @@ class TestEvalCompat:
         assert main(args) == EXIT_USAGE
         assert main(args + ["--force"]) in (EXIT_OK, EXIT_ORDERING)
 
+    def test_new_cold_that_is_not_the_attachments_backbone(self, workspace, tmp_path,
+                                                           capsys):
+        # --seed is not in the config digest, so only the tensors tell them apart.
+        other = str(tmp_path / "new-seed5.tack")
+        assert main(["pretrain", "--role", "new", "--seed", "5", "--data", workspace["data"],
+                     "--out", other, "--config", workspace["cfg"]]) == EXIT_OK
+        args = lambda new, out: [
+            "eval-compat", "--old", workspace["old"], "--taca", workspace["taca"],
+            "--new-cold", new, "--data", workspace["eval"], "--task", "retrieval",
+            "--out", str(out), "--config", workspace["cfg"]]
+        own, forced = tmp_path / "own.json", tmp_path / "forced.json"
+        assert main(args(workspace["new"], own)) in (EXIT_OK, EXIT_ORDERING)
+        capsys.readouterr()
+        assert main(args(other, forced)) == EXIT_USAGE
+        assert "visual tensor 'patch_embed'" in capsys.readouterr().err
+        assert not forced.exists()
+        assert main(args(other, forced) + ["--force"]) in (EXIT_OK, EXIT_ORDERING)
+        assert "warning" in capsys.readouterr().err
+        # Forced, the hot-plug still runs on the attachment's own backbone.
+        hot_plug = lambda path: json.loads(path.read_text())["m_old_new"]
+        assert hot_plug(forced) == hot_plug(own)
+
     def test_gallery_seed_from_config(self, workspace, tmp_path, monkeypatch):
         cfg = json.loads(json.dumps(FAST_CONFIG))
         cfg["eval"]["gallery_seed"] = 77

@@ -6,12 +6,14 @@ from hotplug.autodiff import Tensor
 from hotplug.encoders import (
     ENCODE_CHUNK,
     FFN_EXPANSION,
+    SITES,
     EncoderWeights,
     ImageSpec,
     TextEncoderConfig,
     VisualEncoderConfig,
     encode_chunked,
     encode_image,
+    encode_image_forked,
     encode_text,
     init_encoder,
     _attention,
@@ -356,3 +358,34 @@ class TestEncodeChunked:
                                (lambda t: encode_text(text, t), tokens)):
             whole = encode_chunked(encode, inputs)
             assert np.array_equal(encode_chunked(encode, inputs[:129]), whole[:129])
+
+    def test_a_tuple_of_outputs_is_chunked_per_output(self):
+        visual = init_encoder(VCFG, seed=0)
+        images = np.random.default_rng(12).uniform(size=(129, 16, 16, 1))
+        encode = lambda x: encode_image(visual, x)
+        whole = encode_chunked(encode, images)
+        pair = encode_chunked(lambda x: (encode(x), ad.scale(encode(x), 2.0)), images)
+        assert np.array_equal(pair[0], whole)
+        assert np.array_equal(pair[1], 2.0 * whole)
+
+
+class TestEncodeImageForked:
+    @pytest.mark.parametrize("block", range(VCFG.layers))
+    @pytest.mark.parametrize("site", SITES)
+    def test_both_branches_bitwise_equal_to_one_pass(self, block, site):
+        weights = init_encoder(VCFG, seed=3)
+        images = np.random.default_rng(4).uniform(size=(5, 16, 16, 1))
+        want = encode_image(weights, images).values
+        for emb in encode_image_forked(weights, images, None, (block, site)):
+            assert np.array_equal(emb.values, want)
+
+    def test_first_difference_names_the_first_tensor_that_differs(self):
+        a, b = init_encoder(VCFG, seed=0), init_encoder(VCFG, seed=0)
+        assert a.first_difference(b) is None
+        b.params["block1.ffn.b1"].values[3] += 1e-12
+        b.params["proj"].values[0, 0] += 1.0
+        assert a.first_difference(b) == "block1.ffn.b1"
+        deeper = init_encoder(VisualEncoderConfig(SPEC, layers=3, width=32, heads=4,
+                                                  embed_dim=16), seed=0)
+        assert deeper.first_difference(a) == "block2.ln1.gain"  # only one has it
+        assert a.first_difference(deeper) == "proj"  # drawn after block2

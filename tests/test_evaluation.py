@@ -25,6 +25,7 @@ from hotplug.evaluation import (
 )
 from hotplug.training import (
     AdamW,
+    Checkpoint,
     TrainConfig,
     attachment_from_checkpoint,
     clip_encoders_from_checkpoint,
@@ -340,6 +341,34 @@ class TestHotPlugReport:
             hot_plug_report(old, taca, new, eva, task, head_seeds=(0, 1),
                             adapted_extractor=counting_adapted)
             assert rows == dict.fromkeys(rows, len(eva)), task
+
+    def test_new_backbone_block0_runs_once_per_chunk(self, tiny_pipeline, monkeypatch):
+        ds, eva, old, new, taca = tiny_pipeline
+        ln1_gain = new.tensors["visual/block0.ln1.gain"]
+        calls = []
+        real_layer_norm = ad.layer_norm
+
+        def counting_layer_norm(x, gain, bias):
+            if np.array_equal(gain.values, ln1_gain):
+                calls.append(x.shape[0])
+            return real_layer_norm(x, gain, bias)
+
+        monkeypatch.setattr(ad, "layer_norm", counting_layer_norm)
+        for task in ("retrieval", "classification"):
+            calls.clear()
+            hot_plug_report(old, taca, new, eva, task, head_seeds=(0, 1))
+            assert calls == [64, 64, 32], task  # once per chunk, not per encoder
+
+    def test_new_checkpoint_must_be_the_embedded_backbone(self, tiny_pipeline, capsys):
+        ds, eva, old, new, taca = tiny_pipeline
+        other = Checkpoint(new.meta, dict(new.tensors))
+        other.tensors["visual/block1.attn.wk"] = new.tensors["visual/block1.attn.wk"] + 1e-9
+        with pytest.raises(ConfigError, match="'block1.attn.wk'.*--force"):
+            hot_plug_report(old, taca, other, eva, "retrieval")
+        want = hot_plug_report(old, taca, new, eva, "retrieval")
+        forced = hot_plug_report(old, taca, other, eva, "retrieval", force=True)
+        assert "warning" in capsys.readouterr().err
+        assert forced.m_old_new == want.m_old_new  # on the embedded backbone
 
     def test_classification_matches_separately_encoded_halves(self, tiny_pipeline):
         ds, eva, old, new, taca = tiny_pipeline

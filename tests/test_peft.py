@@ -6,6 +6,7 @@ from hotplug.autodiff import Tensor
 from hotplug.encoders import (
     ImageSpec,
     VisualEncoderConfig,
+    encode_chunked,
     encode_image,
     init_encoder,
 )
@@ -196,6 +197,39 @@ class TestAttachment:
         image = np.random.default_rng(2).uniform(size=(2, 16, 16, 1))
         out = adapted.encode(image)
         assert out.shape == (2, 16)
+
+
+ARMS = {
+    "adapter": (TacaConfig(bottleneck=8), (0, "ffn")),
+    "adapters_per_block_2": (TacaConfig(bottleneck=8, adapters_per_block=2), (0, "attn")),
+    "inserted_layers_2_3": (TacaConfig(bottleneck=8, inserted_layers=(2, 3)), (1, "ffn")),
+    "lora": (TacaConfig(variant="lora", rank=4), (0, "qv")),
+    "lora_layers_2_3": (TacaConfig(variant="lora", rank=4, inserted_layers=(2, 3)), (1, "qv")),
+}
+
+
+class TestSharedBackbonePass:
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_first_site(self, arm):
+        cfg, site = ARMS[arm]
+        attachment, _ = attach_taca(init_encoder(NEW_CFG, seed=0), cfg, 16, seed=1)
+        assert attachment.first_site() == site
+
+    @pytest.mark.parametrize("n", [65, 129])
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_bitwise_equal_to_separate_passes(self, arm, n):
+        weights = init_encoder(NEW_CFG, seed=0)
+        attachment, adapted = attach_taca(weights, ARMS[arm][0], 16, seed=1)
+        rng = np.random.default_rng(2)
+        for t in attachment.trainable_tensors():  # hooks that change the forward
+            t.values = rng.normal(0.0, 0.1, size=t.shape)
+        images = rng.uniform(size=(n, 16, 16, 1))
+        hot, cold = encode_chunked(adapted.encode_with_backbone, images)
+        assert np.array_equal(hot, encode_chunked(adapted.encode, images))
+        assert np.array_equal(cold, encode_chunked(lambda x: encode_image(weights, x),
+                                                   images))
+        unhooked = projector_forward(attachment.projector, Tensor(cold)).values
+        assert not np.allclose(hot, unhooked)  # the hooks act past the fork
 
 
 class TestCountTrainable:
