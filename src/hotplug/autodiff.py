@@ -1,13 +1,16 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The engine is define-by-run: a primitive records its inputs and a
-vector-Jacobian closure on the active tape only outside ``no_grad`` and when
-some input is trainable or ``needs_grad``, and ``backward`` walks that tape once
-in reverse. Ops on constants alone record nothing; ``matmul`` (with its
-bias) and ``layer_norm`` skip the gradients of constant inputs, and the
-activations and ``log_softmax_rows`` build derivative state only in their
-closures. Arrays are plain numpy ``float64``; there is no implicit
-broadcasting except ``matmul``'s bias over the last axis.
+The engine is define-by-run: outside ``no_grad``, a primitive with a trainable
+or taped input records ``(node, parent_keys, vjp)`` on the active tape, and
+``backward`` walks that tape once in reverse. ``node`` is the output's gradient
+handle, kept in its ``needs_grad``; a parent key is the trainable leaf itself, a
+taped parent's node, or None for a constant. The tape holds no Tensor, and each
+closure keeps only the arrays its wanted gradients read, chosen when it is
+recorded (``matmul`` and ``mul`` keep an operand only for the other's gradient,
+``layer_norm`` its normalized input only for its input's or gain's, gelu one
+derivative array, relu a mask), so an activation is freed as soon as the forward
+drops it. Arrays are plain numpy ``float64``; there is no implicit broadcasting
+except ``matmul``'s bias over the last axis.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ LAYER_NORM_EPS = 1e-5
 class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
-    ``trainable`` marks leaves that ``backward`` should populate and
-    ``needs_grad`` the output of a recorded primitive; a tensor with neither
-    is a constant, and no gradient is formed for it.
+    ``trainable`` marks leaves that ``backward`` should populate;
+    ``needs_grad`` holds the tape handle of a recorded primitive's output and
+    is False otherwise. A tensor with neither is a constant, and no gradient
+    is formed for it.
     """
 
     __slots__ = ("values", "grad", "trainable", "needs_grad")
@@ -56,11 +60,18 @@ class Tensor:
         return f"Tensor(shape={self.shape}, trainable={self.trainable})"
 
 
+class _Node:
+    """The gradient handle of one taped output, by which ``backward`` keys the
+    gradient flowing into it; the output Tensor itself is not kept."""
+
+    __slots__ = ()
+
+
 class Tape:
     """Ordered record of executed primitives (creation order == topological)."""
 
     def __init__(self):
-        self.records = []  # (out_tensor, parent_tensors, vjp)
+        self.records = []  # (node, parent_keys, vjp)
 
     def __len__(self):
         return len(self.records)
@@ -99,7 +110,7 @@ def no_grad():
 
 
 def _wants_grad(t: Tensor) -> bool:
-    return t.trainable or t.needs_grad
+    return t.trainable or bool(t.needs_grad)
 
 
 def _record(out: Tensor, parents, vjp):
@@ -108,8 +119,9 @@ def _record(out: Tensor, parents, vjp):
         return
     for p in parents:  # a loop, not any(): this runs once per primitive call
         if p.trainable or p.needs_grad:
-            out.needs_grad = True
-            _tape.records.append((out, tuple(parents), vjp))
+            node = out.needs_grad = _Node()
+            _tape.records.append((node, tuple(
+                [q if q.trainable else q.needs_grad or None for q in parents]), vjp))
             return
 
 
@@ -121,19 +133,20 @@ def backward(loss: Tensor):
     """
     if loss.values.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    grads = {loss: np.ones_like(loss.values)}  # keyed by tensor identity
-    for out, parents, vjp in reversed(_tape.records):
-        g = grads.pop(out, None)
+    # Keyed by identity: taped outputs by their node, leaves by themselves.
+    grads = {loss.needs_grad or loss: np.ones_like(loss.values)}
+    for node, keys, vjp in reversed(_tape.records):
+        g = grads.pop(node, None)
         if g is None:
             continue
-        for parent, pg in zip(parents, vjp(g)):
-            if pg is None or not _wants_grad(parent):
+        for key, pg in zip(keys, vjp(g)):
+            if pg is None or key is None:
                 continue
-            acc = grads.get(parent)
-            grads[parent] = pg if acc is None else acc + pg
-    # Every recorded output was popped above, so what is left are the leaves.
+            acc = grads.get(key)
+            grads[key] = pg if acc is None else acc + pg
+    # Every recorded node was popped above, so what is left are the leaves.
     for leaf, g in grads.items():
-        if leaf.trainable:
+        if isinstance(leaf, Tensor) and leaf.trainable:
             leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
 
 
@@ -161,8 +174,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.values * b.values)
-    av, bv = a.values, b.values
-    _record(out, (a, b), lambda g: (g * bv, g * av))
+    av = a.values if _wants_grad(b) else None
+    bv = b.values if _wants_grad(a) else None
+    _record(out, (a, b), lambda g: (None if bv is None else g * bv,
+                                    None if av is None else g * av))
     return out
 
 
@@ -203,17 +218,23 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out += bias.values
     out = Tensor(out)
+    a_shape, batched = av.shape, bv.ndim > 2
+    bias_grad = None if bias is None else _wants_grad(bias)
+    # Each operand is read only by the other one's gradient: a frozen weight's
+    # input is not kept.
+    av = av if _wants_grad(b) else None
+    bv = bv if _wants_grad(a) else None
 
     def vjp(g):
-        if bv.ndim > 2:
-            return (np.matmul(g, np.swapaxes(bv, -1, -2)) if _wants_grad(a) else None,
-                    np.matmul(np.swapaxes(av, -1, -2), g) if _wants_grad(b) else None)
+        if batched:
+            return (None if bv is None else np.matmul(g, np.swapaxes(bv, -1, -2)),
+                    None if av is None else np.matmul(np.swapaxes(av, -1, -2), g))
         g2 = g.reshape(-1, g.shape[-1])
-        da = (g2 @ bv.T).reshape(av.shape) if _wants_grad(a) else None
-        db = av.reshape(-1, av.shape[-1]).T @ g2 if _wants_grad(b) else None
-        if bias is None:
+        da = None if bv is None else (g2 @ bv.T).reshape(a_shape)
+        db = None if av is None else av.reshape(-1, a_shape[-1]).T @ g2
+        if bias_grad is None:
             return da, db
-        return da, db, g2.sum(axis=0) if _wants_grad(bias) else None
+        return da, db, g2.sum(axis=0) if bias_grad else None
 
     _record(out, (a, b) if bias is None else (a, b, bias), vjp)
     return out
@@ -315,13 +336,16 @@ def elementwise_activation(a: Tensor, kind: str) -> Tensor:
     x = a.values
     if kind == "relu":
         out = Tensor(np.maximum(x, 0.0))
-        _record(out, (a,), lambda g: (g * (x > 0).astype(np.float64),))
+        if _grad_enabled and _wants_grad(a):
+            mask = x > 0
+            _record(out, (a,), lambda g: (g * mask,))
         return out
     if kind == "gelu":
         phi = ndtr(x)
         out = Tensor(x * phi)
-        _record(out, (a,), lambda g: (
-            g * (phi + x * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))),))
+        if _grad_enabled and _wants_grad(a):
+            d = phi + x * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))
+            _record(out, (a,), lambda g: (g * d,))
         return out
     raise ParameterError(f"unknown activation kind: {kind!r}")
 
@@ -344,9 +368,9 @@ def softmax_rows(a: Tensor) -> Tensor:
 def log_softmax_rows(a: Tensor) -> Tensor:
     z = a.values - a.values.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = Tensor(z - lse)
-    _record(out, (a,),
-            lambda g: (g - np.exp(z - lse) * g.sum(axis=-1, keepdims=True),))
+    y = z - lse
+    out = Tensor(y)
+    _record(out, (a,), lambda g: (g - np.exp(y) * g.sum(axis=-1, keepdims=True),))
     return out
 
 
@@ -384,15 +408,18 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out = Tensor(xhat * gain.values + bias.values)
     gv = gain.values
     lead = tuple(range(a.values.ndim - 1))
+    x_grad, gain_grad, bias_grad = _wants_grad(a), _wants_grad(gain), _wants_grad(bias)
+    if not (x_grad or gain_grad):
+        xhat = inv = None
 
     def vjp(g):
         dx = None
-        if _wants_grad(a):
+        if x_grad:
             gg = g * gv
             dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
                         - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
-        return (dx, (g * xhat).sum(axis=lead) if _wants_grad(gain) else None,
-                g.sum(axis=lead) if _wants_grad(bias) else None)
+        return (dx, (g * xhat).sum(axis=lead) if gain_grad else None,
+                g.sum(axis=lead) if bias_grad else None)
 
     _record(out, (a, gain, bias), vjp)
     return out

@@ -48,21 +48,21 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     config = cfg_mod.load_config(args.config)
-    digest = cfg_mod.config_digest(config)
     dataset = load_dataset(args.data)
     visual_cfg = cfg_mod.visual_config_from(config, args.role)
     text_cfg = cfg_mod.text_config_from(config, args.role)
     steps = checked(config[f"{args.role}_encoder"]["pretrain_steps"], int,
                     f"{args.role}_encoder.pretrain_steps")
-    seed = checked(config["train"]["seed"], int, "train.seed", 0)
-    if args.role == "new":
-        seed += NEW_ROLE_SEED_OFFSET
+    offset = NEW_ROLE_SEED_OFFSET if args.role == "new" else 0
+    seed = checked(config["train"]["seed"], int, "train.seed", 0) + offset
     if args.seed is not None:
+        # The digest names the config whose train.seed trains this role at --seed.
         seed = args.seed
+        config["train"]["seed"] = seed - offset
     train_cfg = cfg_mod.train_config_from(config, steps=steps, seed=seed)
     ckpt = pretrain_clip(visual_cfg, text_cfg, dataset, train_cfg,
                          cfg_mod.loss_config_from(config).contrastive,
-                         config_digest=digest)
+                         config_digest=cfg_mod.config_digest(config))
     save_checkpoint(ckpt, args.out)
     print(f"pretrained {args.role} encoder: final loss "
           f"{ckpt.meta['final_loss']:.4f} -> {args.out}")

@@ -429,12 +429,41 @@ class TestEvalCompat:
         assert main(args) == EXIT_USAGE
         assert main(args + ["--force"]) in (EXIT_OK, EXIT_ORDERING)
 
+    def test_seed_override_is_in_the_digest(self, workspace, tmp_path, capsys):
+        digest = lambda path: load_checkpoint(path).meta["config_digest"]
+        seed5 = str(tmp_path / "new-seed5.tack")
+        assert main(["pretrain", "--role", "new", "--seed", "5", "--data", workspace["data"],
+                     "--out", seed5, "--config", workspace["cfg"]]) == EXIT_OK
+        # A config whose train.seed is 5 trains the new role at seed 1005.
+        cfg5 = json.loads(json.dumps(FAST_CONFIG))
+        cfg5["train"]["seed"] = 5
+        cfg5_path = tmp_path / "seed5.json"
+        cfg5_path.write_text(json.dumps(cfg5))
+        train5 = str(tmp_path / "new-train-seed5.tack")
+        assert main(["pretrain", "--role", "new", "--data", workspace["data"],
+                     "--out", train5, "--config", str(cfg5_path)]) == EXIT_OK
+        assert len({digest(workspace["new"]), digest(seed5), digest(train5)}) == 3
+        capsys.readouterr()
+        # The mismatched pair stops on the digest, before the backbone check.
+        report = tmp_path / "report.json"
+        assert main(["eval-compat", "--old", workspace["old"], "--taca", workspace["taca"],
+                     "--new-cold", seed5, "--data", workspace["eval"], "--task",
+                     "retrieval", "--out", str(report),
+                     "--config", workspace["cfg"]]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "new checkpoint digest" in err and "visual tensor" not in err
+        assert not report.exists()
+
     def test_new_cold_that_is_not_the_attachments_backbone(self, workspace, tmp_path,
                                                            capsys):
-        # --seed is not in the config digest, so only the tensors tell them apart.
-        other = str(tmp_path / "new-seed5.tack")
+        # A different backbone under the attachment's recorded digest: only the
+        # tensors tell them apart.
+        seed5 = str(tmp_path / "new-seed5.tack")
         assert main(["pretrain", "--role", "new", "--seed", "5", "--data", workspace["data"],
-                     "--out", other, "--config", workspace["cfg"]]) == EXIT_OK
+                     "--out", seed5, "--config", workspace["cfg"]]) == EXIT_OK
+        recorded = load_checkpoint(workspace["new"]).meta["config_digest"]
+        other = str(tmp_path / "new-seed5-same-digest.tack")
+        _edited_meta(lambda meta: meta.update(config_digest=recorded))(seed5, other)
         args = lambda new, out: [
             "eval-compat", "--old", workspace["old"], "--taca", workspace["taca"],
             "--new-cold", new, "--data", workspace["eval"], "--task", "retrieval",
