@@ -16,7 +16,7 @@ import sys
 from . import config as cfg_mod
 from . import verify
 from .data import generate_dataset, load_dataset, save_dataset
-from .errors import ConfigError, FormatError, HotplugError, checked
+from .errors import FormatError, HotplugError, checked
 from .evaluation import hot_plug_report
 from .training import load_checkpoint, pretrain_clip, save_checkpoint, train_taca
 
@@ -83,26 +83,11 @@ def cmd_train_taca(args) -> int:
     if args.log:
         with open(args.log, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["step", "total", "contrastive", "distillation"])
+            writer.writerow(log[0]._fields)
             writer.writerows(log)
     print(f"trained attachment: loss {log[0][1]:.4f} -> {log[-1][1]:.4f} "
           f"over {len(log)} steps -> {args.out}")
     return EXIT_OK
-
-
-def _check_digests(old_ckpt, new_ckpt, taca_ckpt, force: bool):
-    pairs = [("old", old_ckpt, "old_checkpoint_digest")]
-    if new_ckpt is not None:
-        pairs.append(("new", new_ckpt, "new_checkpoint_digest"))
-    for label, ckpt, key in pairs:
-        recorded = taca_ckpt.meta.get(key, "")
-        actual = ckpt.meta.get("config_digest", "")
-        if recorded and actual and recorded != actual:
-            msg = (f"{label} checkpoint digest {actual[:12]} does not match the "
-                   f"digest recorded at attachment training time {recorded[:12]}")
-            if not force:
-                raise ConfigError(msg + " (use --force to override)")
-            print(f"warning: {msg}", file=sys.stderr)
 
 
 def cmd_eval_compat(args) -> int:
@@ -111,7 +96,6 @@ def cmd_eval_compat(args) -> int:
     old_ckpt = load_checkpoint(args.old)
     taca_ckpt = load_checkpoint(args.taca)
     new_ckpt = load_checkpoint(args.new_cold) if args.new_cold else None
-    _check_digests(old_ckpt, new_ckpt, taca_ckpt, args.force)
     report = hot_plug_report(old_ckpt, taca_ckpt, new_ckpt, dataset, args.task,
                              force=args.force, **settings)
     if args.out:

@@ -102,8 +102,9 @@ class EncoderWeights:
         for t in self.params.values():
             t.trainable = flag
 
-    def clone_values(self) -> dict[str, np.ndarray]:
-        return {name: t.values.copy() for name, t in self.params.items()}
+    def clone(self) -> "EncoderWeights":
+        return EncoderWeights(self.config, {name: Tensor(t.values.copy())
+                                            for name, t in self.params.items()})
 
     def first_difference(self, other: "EncoderWeights") -> str | None:
         """The first parameter that is not bitwise equal in ``other`` (or that

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .config import DEFAULT_CONFIG, eval_settings_from
 from .data import (
     CAPTION_LEN,
     NUM_FACTORS,
@@ -32,6 +33,9 @@ from .training import (
     attachment_from_checkpoint,
     clip_encoders_from_checkpoint,
 )
+
+
+_EVAL = eval_settings_from(DEFAULT_CONFIG)  # k, head_seeds, gallery_seed
 
 
 def recall_at_k(query_feats, gallery_feats, ground_truth, k: int) -> float:
@@ -143,7 +147,7 @@ class CompatReport:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
 
-def canonical_caption_gallery(text_weights, gallery_seed: int = 1234) -> np.ndarray:
+def canonical_caption_gallery(text_weights, gallery_seed=_EVAL["gallery_seed"]) -> np.ndarray:
     """Text features for one caption per latent factor (gallery index ==
     factor index)."""
     captions = np.stack([
@@ -154,23 +158,38 @@ def canonical_caption_gallery(text_weights, gallery_seed: int = 1234) -> np.ndar
     return encode_chunked(lambda c: encode_text(text_weights, c), captions)
 
 
+def _refuse_unless_forced(msg: str, force: bool) -> None:
+    if not force:
+        raise ConfigError(msg + " (use --force to override)")
+    print(f"warning: {msg}", file=sys.stderr)
+
+
 def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
                     new_ckpt: Checkpoint | None, eval_dataset: Dataset,
-                    task: str, k: int = 1, head_seeds=(0,),
-                    adapted_extractor=None,
-                    gallery_seed: int = 1234, force: bool = False) -> CompatReport:
+                    task: str, k: int = _EVAL["k"], head_seeds=_EVAL["head_seeds"],
+                    gallery_seed: int = _EVAL["gallery_seed"],
+                    force: bool = False) -> CompatReport:
     """Build the compatibility-ordering report for one trained pipeline.
 
-    ``adapted_extractor`` overrides the hot-plugged feature extractor (a
-    callable mapping an image batch to a feature Tensor); by default it is rebuilt
-    from the attachment checkpoint, on the backbone embedded there. ``new_ckpt``
-    supplies the cold-plug upper bound and may be omitted; its visual encoder
-    must be that backbone, bitwise, unless ``force`` is given. Each encoder
-    encodes the eval split once, in one chunk loop; the default hot-plugged and
-    the cold-plug encoders share one backbone pass up to the attachment's first
-    hooked site. For classification the first half trains the heads and the
-    second is scored.
+    The hot-plugged encoder is rebuilt from the attachment checkpoint, on its
+    embedded backbone; ``new_ckpt`` gives the cold-plug upper bound and may be
+    omitted. Provenance is checked first: each non-empty config digest against
+    the one the attachment recorded, then ``new_ckpt``'s visual encoder against
+    the embedded backbone, bitwise. A mismatch is a ``ConfigError``, or with
+    ``force`` a warning. ``k``, ``head_seeds`` and ``gallery_seed`` default to
+    the default config's ``eval`` section. Each encoder encodes the eval split
+    once; the hot-plugged and cold-plug encoders share one backbone pass up to
+    the attachment's first hooked site. For classification the first half
+    trains the heads and the second is scored.
     """
+    digests = {role: "" if ckpt is None else ckpt.meta.get("config_digest", "")
+               for role, ckpt in (("old", old_ckpt), ("taca", taca_ckpt), ("new", new_ckpt))}
+    for role in ("old", "new"):
+        recorded, actual = taca_ckpt.meta.get(f"{role}_checkpoint_digest", ""), digests[role]
+        if recorded and actual and recorded != actual:
+            _refuse_unless_forced(
+                f"{role} checkpoint digest {actual[:12]} does not match the digest "
+                f"recorded at attachment training time {recorded[:12]}", force)
     if task not in ("retrieval", "classification"):
         raise ConfigError(f"unknown task {task!r}")
     n = len(eval_dataset)
@@ -180,31 +199,20 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
     new_visual = new_text = None
     if new_ckpt is not None:
         new_visual, new_text, _ = clip_encoders_from_checkpoint(new_ckpt)
-    hot_and_cold = None  # a batch's hot-plugged and cold-plug features
-    if adapted_extractor is None:
-        _, adapted = attachment_from_checkpoint(taca_ckpt)
-        if adapted.attachment.projector.dim_old != old_visual.config.embed_dim:
-            raise ConfigError(
-                f"projector output dim {adapted.attachment.projector.dim_old} "
-                f"!= old embed dim {old_visual.config.embed_dim}")
-        adapted_extractor = adapted.encode
-        differs = new_visual and new_visual.first_difference(adapted.weights)
-        if differs:
-            msg = (f"new checkpoint visual tensor {differs!r} is not bitwise "
-                   f"equal to the backbone embedded in the attachment")
-            if not force:
-                raise ConfigError(msg + " (use --force to override)")
-            print(f"warning: {msg}", file=sys.stderr)
-        elif new_visual is not None:
+    _, adapted = attachment_from_checkpoint(taca_ckpt)
+    if adapted.attachment.projector.dim_old != old_visual.config.embed_dim:
+        raise ConfigError(
+            f"projector output dim {adapted.attachment.projector.dim_old} "
+            f"!= old embed dim {old_visual.config.embed_dim}")
+    hot_and_cold = lambda x: (adapted.encode(x),)  # a batch's hot- and cold-plug features
+    if new_visual is not None:
+        if (differs := new_visual.first_difference(adapted.weights)) is None:
             hot_and_cold = adapted.encode_with_backbone  # one backbone pass
-    if hot_and_cold is None:  # separate passes; no cold-plug without new_ckpt
-        hot_and_cold = lambda x: (adapted_extractor(x),) + (
-            () if new_visual is None else (encode_image(new_visual, x),))
-    digests = {
-        "old": old_ckpt.meta.get("config_digest", ""),
-        "taca": taca_ckpt.meta.get("config_digest", ""),
-        "new": "" if new_ckpt is None else new_ckpt.meta.get("config_digest", ""),
-    }
+        else:
+            _refuse_unless_forced(
+                f"new checkpoint visual tensor {differs!r} is not bitwise equal to "
+                f"the backbone embedded in the attachment", force)
+            hot_and_cold = lambda x: (adapted.encode(x), encode_image(new_visual, x))
 
     images = eval_dataset.images
     labels = eval_dataset.factor_indices()
@@ -216,10 +224,8 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
         gallery_old = canonical_caption_gallery(old_text, gallery_seed)
         m_old_old = recall_at_k(old_feats, gallery_old, labels, k)
         m_old_new = recall_at_k(adapted_feats, gallery_old, labels, k)
-        m_new_new = None
-        if new_ckpt is not None:
-            gallery_new = canonical_caption_gallery(new_text, gallery_seed)
-            m_new_new = recall_at_k(new_feats, gallery_new, labels, k)
+        m_new_new = None if new_ckpt is None else recall_at_k(
+            new_feats, canonical_caption_gallery(new_text, gallery_seed), labels, k)
         return CompatReport("retrieval", f"recall@{k}", m_old_old, m_old_new,
                             m_new_new, [], digests, {})
 
@@ -244,7 +250,7 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
 
 
 def raw_swap_baseline(old_ckpt: Checkpoint, new_ckpt: Checkpoint,
-                      eval_dataset: Dataset, seed: int, k: int = 1) -> float:
+                      eval_dataset: Dataset, seed: int, k: int = _EVAL["k"]) -> float:
     """No-compatibility control: the new encoder bridged to the old dimension
     by a random untrained linear map, scored on the retrieval proxy."""
     old_visual, old_text, _ = clip_encoders_from_checkpoint(old_ckpt)

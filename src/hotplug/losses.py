@@ -106,10 +106,6 @@ def compat_total(new_img_feats: Tensor, old_txt_feats: Tensor,
                                      config.contrastive.temperature,
                                      symmetric=config.symmetric)
     distill = distill_loss(new_img_feats, old_img_feats)
-    lam = config.distill_weight
-    if lam == 0.0:
-        total = contra
-    else:
-        total = ad.add(contra, ad.scale(distill, lam))
+    total = ad.add(contra, ad.scale(distill, config.distill_weight))
     components = {"contrastive": contra.item(), "distillation": distill.item()}
     return total, components

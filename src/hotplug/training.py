@@ -8,6 +8,7 @@ Every run is fully determined by its configs and seeds.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import json
@@ -230,7 +231,7 @@ def clip_encoders_from_checkpoint(checkpoint: Checkpoint):
 def _fit(params, n: int, train_cfg: TrainConfig, loss_of):
     """The one AdamW loop of both trainers: ``loss_of(batch)`` gives a step's
     (loss, components) on that step's tape. A run stops at its first non-finite
-    loss or feature-row norm. Returns one (step, loss, *components) row per step."""
+    loss or feature-row norm. Returns one (step, total, *components) namedtuple per step."""
     opt = AdamW(params, lr=train_cfg.learning_rate)
     rows = []
     for step, batch in enumerate(batch_indices(
@@ -251,7 +252,8 @@ def _fit(params, n: int, train_cfg: TrainConfig, loss_of):
             ad.backward(loss)
             opt.step()
         rows.append((step, loss.item(), *components.values()))
-    return rows
+    row = collections.namedtuple("LossRow", ("step", "total", *components))
+    return [row._make(r) for r in rows]
 
 
 def pretrain_clip(visual_cfg: VisualEncoderConfig, text_cfg: TextEncoderConfig,
@@ -295,9 +297,9 @@ def train_taca(old_ckpt: Checkpoint, new_ckpt: Checkpoint, taca_cfg: TacaConfig,
     The contrastive term is scored at the old checkpoint's temperature, in
     place of ``loss_cfg.contrastive``.
 
-    Returns (attachment checkpoint, loss log) where the log holds one
-    (step, total, contrastive, distillation) row per step. Backbone tensors
-    are audited bitwise after the run.
+    Returns (attachment checkpoint, loss log) where the log holds one row per
+    step, with fields ``("step", "total", *components)`` in ``compat_total``'s
+    component order. The frozen encoders are audited bitwise after the run.
     """
     old_visual, old_text, tau = clip_encoders_from_checkpoint(old_ckpt)
     new_visual, _, _ = clip_encoders_from_checkpoint(new_ckpt)
@@ -307,7 +309,7 @@ def train_taca(old_ckpt: Checkpoint, new_ckpt: Checkpoint, taca_cfg: TacaConfig,
     loss_cfg = dataclasses.replace(
         loss_cfg, contrastive=ContrastiveConfig(temperature=tau))
     frozen = {"old_visual": old_visual, "old_text": old_text, "new_visual": new_visual}
-    snapshot = {label: weights.clone_values() for label, weights in frozen.items()}
+    snapshot = {label: weights.clone() for label, weights in frozen.items()}
     # Old encoders are frozen, so their per-sample features are constants;
     # compute them once instead of once per epoch.
     old_img_all = encode_chunked(lambda x: encode_image(old_visual, x),
@@ -318,7 +320,10 @@ def train_taca(old_ckpt: Checkpoint, new_ckpt: Checkpoint, taca_cfg: TacaConfig,
                lambda batch: compat_total(adapted.encode(dataset.images[batch]),
                                           Tensor(old_txt_all[batch]),
                                           Tensor(old_img_all[batch]), loss_cfg))
-    _audit_frozen(snapshot, frozen)
+    for label, weights in frozen.items():
+        if (name := weights.first_difference(snapshot[label])) is not None:
+            raise ContractError(
+                f"frozen backbone tensor {label}/{name} changed during training")
     meta = {
         "kind": "taca_attachment",
         "taca_config": dataclasses.asdict(taca_cfg),
@@ -339,15 +344,6 @@ def train_taca(old_ckpt: Checkpoint, new_ckpt: Checkpoint, taca_cfg: TacaConfig,
                for name, t in attachment.named_tensors().items()}
     tensors |= pack_encoder(new_visual, "backbone")
     return Checkpoint(meta, tensors), log
-
-
-def _audit_frozen(snapshot, frozen):
-    for label, weights in frozen.items():
-        for name, before in snapshot[label].items():
-            after = weights.params[name].values
-            if not np.array_equal(before, after):
-                raise ContractError(
-                    f"frozen backbone tensor {label}/{name} changed during training")
 
 
 def attachment_from_checkpoint(taca_ckpt: Checkpoint,

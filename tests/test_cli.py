@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 from hotplug import cli, evaluation
+from hotplug import config as cfg_mod
+from hotplug.autodiff import Tensor
 from hotplug.cli import EXIT_IO, EXIT_OK, EXIT_ORDERING, EXIT_USAGE, main
 from hotplug.data import Dataset, load_dataset, save_dataset
-from hotplug.training import load_checkpoint, save_checkpoint
+from hotplug.losses import compat_total
+from hotplug.training import load_checkpoint, save_checkpoint, train_taca
 
 FAST_CONFIG = {
     "old_encoder": {"layers": 1, "width": 16, "heads": 2, "embed_dim": 8,
@@ -366,6 +369,18 @@ class TestTrainTaca:
             contra = float(row["contrastive"])
             distill = float(row["distillation"])
             assert abs(total - (contra + 2.0 * distill)) < 1e-9
+
+    def test_csv_header_is_the_log_fields(self, workspace):
+        config = cfg_mod.load_config(workspace["cfg"])
+        old, new = (load_checkpoint(workspace[role]) for role in ("old", "new"))
+        _, log = train_taca(old, new, cfg_mod.taca_config_from(config),
+                            load_dataset(workspace["data"]),
+                            cfg_mod.train_config_from(config, steps=2, taca=True))
+        unit = Tensor(np.eye(4))
+        _, components = compat_total(unit, unit, unit, cfg_mod.loss_config_from(config))
+        assert {row._fields for row in log} == {("step", "total", *components)}
+        header = next(csv.reader(open(workspace["root"] / "loss.csv")))
+        assert tuple(header) == log[0]._fields
 
     def test_attachment_checkpoint_kind(self, workspace):
         taca = load_checkpoint(workspace["taca"])

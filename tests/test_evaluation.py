@@ -32,7 +32,7 @@ from hotplug.training import (
     pretrain_clip,
     train_taca,
 )
-from hotplug.peft import TacaConfig
+from hotplug.peft import AdaptedVisualEncoder, TacaConfig
 
 SPEC = ImageSpec(16, 16, 1, 4)
 OLD_VCFG = VisualEncoderConfig(SPEC, layers=1, width=16, heads=2, embed_dim=8)
@@ -272,13 +272,13 @@ class TestReportFlags:
 
 
 class TestHotPlugReport:
-    def test_identity_swap_is_exact(self, tiny_pipeline):
+    def test_identity_swap_is_exact(self, tiny_pipeline, monkeypatch):
         ds, eva, old, new, taca = tiny_pipeline
         old_visual, _, _ = clip_encoders_from_checkpoint(old)
-        extractor = lambda images: encode_image(old_visual, images)
+        monkeypatch.setattr(AdaptedVisualEncoder, "encode",
+                            lambda self, images: encode_image(old_visual, images))
         for task in ("retrieval", "classification"):
-            r = hot_plug_report(old, taca, None, eva, task,
-                                adapted_extractor=extractor)
+            r = hot_plug_report(old, taca, None, eva, task)
             assert r.m_old_new == r.m_old_old
             assert not r.left_ok  # strict inequality fails on equality
 
@@ -323,23 +323,22 @@ class TestHotPlugReport:
         rows = {"old": 0, "adapted": 0, "new": 0}
         role = {OLD_VCFG.embed_dim: "old", NEW_VCFG.embed_dim: "new"}
         real_encode = evaluation.encode_image
+        real_forked = AdaptedVisualEncoder.encode_with_backbone
 
         def counting_encode(weights, images, **kwargs):
             rows[role[weights.config.embed_dim]] += images.shape[0]
             return real_encode(weights, images, **kwargs)
 
-        new_visual, _, _ = clip_encoders_from_checkpoint(new)
-        _, adapted = attachment_from_checkpoint(taca, new_visual)
-
-        def counting_adapted(images):
+        def counting_forked(self, images):  # the hot-plugged and the new features
             rows["adapted"] += images.shape[0]
-            return adapted.encode(images)
+            rows["new"] += images.shape[0]
+            return real_forked(self, images)
 
         monkeypatch.setattr(evaluation, "encode_image", counting_encode)
+        monkeypatch.setattr(AdaptedVisualEncoder, "encode_with_backbone", counting_forked)
         for task in ("retrieval", "classification"):
             rows.update(dict.fromkeys(rows, 0))
-            hot_plug_report(old, taca, new, eva, task, head_seeds=(0, 1),
-                            adapted_extractor=counting_adapted)
+            hot_plug_report(old, taca, new, eva, task, head_seeds=(0, 1))
             assert rows == dict.fromkeys(rows, len(eva)), task
 
     def test_new_backbone_block0_runs_once_per_chunk(self, tiny_pipeline, monkeypatch):
@@ -369,6 +368,25 @@ class TestHotPlugReport:
         forced = hot_plug_report(old, taca, other, eva, "retrieval", force=True)
         assert "warning" in capsys.readouterr().err
         assert forced.m_old_new == want.m_old_new  # on the embedded backbone
+
+    @pytest.mark.parametrize("role", ["old", "new"])
+    def test_a_recorded_digest_must_match(self, tiny_pipeline, role, capsys):
+        ds, eva, old, new, taca = tiny_pipeline
+        ckpts = {"old": old, "new": new}
+        ckpts[role] = Checkpoint(dict(ckpts[role].meta, config_digest="b" * 64),
+                                 ckpts[role].tensors)
+        recorded = Checkpoint(dict(taca.meta, **{f"{role}_checkpoint_digest": "a" * 64}),
+                              taca.tensors)
+        with pytest.raises(ConfigError, match=f"^{role} checkpoint digest bbbbbbbbbbbb does "
+                           "not match .* aaaaaaaaaaaa \\(use --force to override\\)$"):
+            hot_plug_report(ckpts["old"], recorded, ckpts["new"], eva, "retrieval")
+        forced = hot_plug_report(ckpts["old"], recorded, ckpts["new"], eva, "retrieval",
+                                 force=True)
+        assert capsys.readouterr().err.startswith(f"warning: {role} checkpoint digest")
+        want = hot_plug_report(old, taca, new, eva, "retrieval")
+        assert (forced.m_old_old, forced.m_old_new, forced.m_new_new) == (
+            want.m_old_old, want.m_old_new, want.m_new_new)
+        assert forced.config_digests[role] == "b" * 64
 
     def test_classification_matches_separately_encoded_halves(self, tiny_pipeline):
         ds, eva, old, new, taca = tiny_pipeline

@@ -1,4 +1,5 @@
-"""Every name imported into a library module is used there.
+"""Every name imported into a library module is used there, and every
+module-level private function or class is referenced there.
 
 No lint tool ships with the project, so this walks each module's syntax tree
 with the standard library. Package ``__init__`` re-exports are exempt.
@@ -41,3 +42,30 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_helpers(source: str) -> list:
+    """Module-level ``_private`` functions and classes that nothing in the
+    module names outside their own definitions."""
+    tree = ast.parse(source)
+    dead = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            own = set(map(id, ast.walk(node)))
+            if not any(isinstance(n, ast.Name) and n.id == node.name and id(n) not in own
+                       for n in ast.walk(tree)):
+                dead.append((node.lineno, node.name))
+    return dead
+
+
+def test_guard_flags_a_dead_helper():
+    source = ("def _used():\n    pass\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "class _Orphan:\n    pass\n"
+              "def public():\n    def _nested():\n        pass\n    return _used\n")
+    assert dead_helpers(source) == [(3, "_recursive"), (5, "_Orphan")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_helpers(path):
+    assert dead_helpers(path.read_text()) == []

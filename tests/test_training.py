@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hotplug import autodiff as ad
+from hotplug import training
 from hotplug.autodiff import Tensor
 from hotplug.data import generate_dataset
 from hotplug.encoders import (
@@ -345,6 +346,25 @@ class TestTrainTaca:
             assert np.array_equal(v, before_old[k])
         for k, v in new.tensors.items():
             assert np.array_equal(v, before_new[k])
+
+    def test_a_changed_backbone_tensor_is_caught(self, monkeypatch):
+        ds, old, new = small_clip_pair()
+        backbones = []
+        real_attach, real_step = training.attach_taca, AdamW.step
+
+        def recording_attach(new_visual, *args, **kwargs):
+            backbones.append(new_visual)
+            return real_attach(new_visual, *args, **kwargs)
+
+        def nudging_step(self):
+            real_step(self)
+            backbones[0].params["block1.ffn.w2"].values[0, 0] += 1.0
+
+        monkeypatch.setattr(training, "attach_taca", recording_attach)
+        monkeypatch.setattr(AdamW, "step", nudging_step)
+        with pytest.raises(ContractError, match="frozen backbone tensor "
+                           "new_visual/block1.ffn.w2 changed during training"):
+            train_taca(old, new, TacaConfig(bottleneck=4), ds, FAST)
 
     def test_log_recomposition_every_step(self):
         ds, old, new = small_clip_pair()
