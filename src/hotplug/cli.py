@@ -16,7 +16,7 @@ import sys
 from . import config as cfg_mod
 from . import verify
 from .data import generate_dataset, load_dataset, save_dataset
-from .errors import FormatError, HotplugError, checked
+from .errors import FormatError, HotplugError
 from .evaluation import hot_plug_report
 from .training import load_checkpoint, pretrain_clip, save_checkpoint, train_taca
 
@@ -25,10 +25,6 @@ EXIT_USAGE = 2
 EXIT_ORDERING = 3
 EXIT_IO = 4
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
-
-# Pretraining seeds are offset per role so the two latent spaces genuinely
-# differ; the new encoder also gets a longer step budget.
-NEW_ROLE_SEED_OFFSET = 1000
 
 
 def cmd_gen_data(args) -> int:
@@ -48,18 +44,12 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     config = cfg_mod.load_config(args.config)
+    if args.seed is not None:
+        config["train"]["seed"] = args.seed
     dataset = load_dataset(args.data)
     visual_cfg = cfg_mod.visual_config_from(config, args.role)
     text_cfg = cfg_mod.text_config_from(config, args.role)
-    steps = checked(config[f"{args.role}_encoder"]["pretrain_steps"], int,
-                    f"{args.role}_encoder.pretrain_steps")
-    offset = NEW_ROLE_SEED_OFFSET if args.role == "new" else 0
-    seed = checked(config["train"]["seed"], int, "train.seed", 0) + offset
-    if args.seed is not None:
-        # The digest names the config whose train.seed trains this role at --seed.
-        seed = args.seed
-        config["train"]["seed"] = seed - offset
-    train_cfg = cfg_mod.train_config_from(config, steps=steps, seed=seed)
+    train_cfg = cfg_mod.train_config_from(config, args.role)
     ckpt = pretrain_clip(visual_cfg, text_cfg, dataset, train_cfg,
                          cfg_mod.loss_config_from(config).contrastive,
                          config_digest=cfg_mod.config_digest(config))
@@ -76,7 +66,7 @@ def cmd_train_taca(args) -> int:
     old_ckpt = load_checkpoint(args.old)
     new_ckpt = load_checkpoint(args.new)
     taca_cfg = cfg_mod.taca_config_from(config)
-    train_cfg = cfg_mod.train_config_from(config, taca=True)
+    train_cfg = cfg_mod.train_config_from(config, "taca")
     ckpt, log = train_taca(old_ckpt, new_ckpt, taca_cfg, dataset, train_cfg,
                            cfg_mod.loss_config_from(config), config_digest=digest)
     save_checkpoint(ckpt, args.out)

@@ -38,6 +38,9 @@ DEFAULT_CONFIG = {
     "eval": {"k": 1, "head_seeds": [0, 1, 2], "gallery_seed": 1234},
 }
 
+# The new role pretrains at train.seed + this, so the two latent spaces differ.
+NEW_ROLE_SEED_OFFSET = 1000
+
 
 def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
     out = copy.deepcopy(defaults)
@@ -137,17 +140,21 @@ def eval_settings_from(config: dict) -> dict:
             "gallery_seed": checked(section["gallery_seed"], int, "eval.gallery_seed", 0)}
 
 
-def train_config_from(config: dict, steps: int | None = None,
-                      seed: int | None = None, taca: bool = False) -> TrainConfig:
-    """Build a TrainConfig; with ``taca`` the attachment-specific learning
-    rate (``train.taca_learning_rate``) takes precedence when set."""
+def train_config_from(config: dict, role: str) -> TrainConfig:
+    """The TrainConfig of pretraining role ``"old"`` or ``"new"``, for
+    ``<role>_encoder.pretrain_steps`` steps, or of the ``"taca"`` attachment,
+    for ``train.steps`` at ``train.taca_learning_rate`` when that is set. The
+    new role trains at ``train.seed`` + NEW_ROLE_SEED_OFFSET."""
     section = config["train"]
-    lr = section["learning_rate"]
-    if taca and section["taca_learning_rate"] is not None:
+    seed = checked(section["seed"], int, "train.seed", 0)
+    lr, steps = section["learning_rate"], section["steps"]
+    if role in ("old", "new"):
+        steps = checked(config[f"{role}_encoder"]["pretrain_steps"], int,
+                        f"{role}_encoder.pretrain_steps")
+        seed += NEW_ROLE_SEED_OFFSET if role == "new" else 0
+    elif role != "taca":
+        raise ConfigError(f"role must be 'old', 'new' or 'taca', got {role!r}")
+    elif section["taca_learning_rate"] is not None:
         lr = section["taca_learning_rate"]
-    return TrainConfig(
-        learning_rate=lr,
-        batch_size=section["batch_size"],
-        steps=section["steps"] if steps is None else steps,
-        seed=section["seed"] if seed is None else seed)
-
+    return TrainConfig(learning_rate=lr, batch_size=section["batch_size"],
+                       steps=steps, seed=seed)

@@ -173,15 +173,21 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
 
     The hot-plugged encoder is rebuilt from the attachment checkpoint, on its
     embedded backbone; ``new_ckpt`` gives the cold-plug upper bound and may be
-    omitted. Provenance is checked first: each non-empty config digest against
-    the one the attachment recorded, then ``new_ckpt``'s visual encoder against
-    the embedded backbone, bitwise. A mismatch is a ``ConfigError``, or with
-    ``force`` a warning. ``k``, ``head_seeds`` and ``gallery_seed`` default to
-    the default config's ``eval`` section. Each encoder encodes the eval split
-    once; the hot-plugged and cold-plug encoders share one backbone pass up to
-    the attachment's first hooked site. For classification the first half
-    trains the heads and the second is scored.
+    omitted. Each checkpoint is read first: a wrong kind is a ``FormatError``.
+    Then each non-empty config digest is checked against the one the
+    attachment recorded, and ``new_ckpt``'s visual encoder against the embedded
+    backbone, bitwise: a mismatch is a ``ConfigError``, or with ``force`` a
+    warning. ``k``, ``head_seeds`` and ``gallery_seed`` default to the default
+    config's ``eval`` section. Each encoder encodes the eval split once; the
+    hot-plugged and cold-plug encoders share one backbone pass up to the
+    attachment's first hooked site. For classification the first half trains
+    the heads and the second is scored.
     """
+    old_visual, old_text, _ = clip_encoders_from_checkpoint(old_ckpt)
+    new_visual = new_text = None
+    if new_ckpt is not None:
+        new_visual, new_text, _ = clip_encoders_from_checkpoint(new_ckpt)
+    _, adapted = attachment_from_checkpoint(taca_ckpt)
     digests = {role: "" if ckpt is None else ckpt.meta.get("config_digest", "")
                for role, ckpt in (("old", old_ckpt), ("taca", taca_ckpt), ("new", new_ckpt))}
     for role in ("old", "new"):
@@ -195,11 +201,6 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
     n = len(eval_dataset)
     if task == "classification" and n < 4:
         raise ConfigError("evaluation dataset too small to split")
-    old_visual, old_text, _ = clip_encoders_from_checkpoint(old_ckpt)
-    new_visual = new_text = None
-    if new_ckpt is not None:
-        new_visual, new_text, _ = clip_encoders_from_checkpoint(new_ckpt)
-    _, adapted = attachment_from_checkpoint(taca_ckpt)
     if adapted.attachment.projector.dim_old != old_visual.config.embed_dim:
         raise ConfigError(
             f"projector output dim {adapted.attachment.projector.dim_old} "
@@ -259,12 +260,7 @@ def raw_swap_baseline(old_ckpt: Checkpoint, new_ckpt: Checkpoint,
     bridge = rng.normal(0.0, 1.0, size=(new_visual.config.embed_dim,
                                         old_visual.config.embed_dim))
 
-    def extract(images):
-        feats = encode_image(new_visual, images).values
-        proj = feats @ bridge
-        norms = np.linalg.norm(proj, axis=-1, keepdims=True)
-        return ad.Tensor(proj / np.maximum(norms, 1e-12))
-
-    feats = encode_chunked(extract, eval_dataset.images)
+    feats = encode_chunked(lambda x: ad.l2_normalize_rows(
+        ad.Tensor(encode_image(new_visual, x).values @ bridge)), eval_dataset.images)
     gallery = canonical_caption_gallery(old_text)
     return recall_at_k(feats, gallery, eval_dataset.factor_indices(), k)

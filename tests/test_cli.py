@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import dataclasses
 import json
 import os
 import struct
@@ -375,7 +376,8 @@ class TestTrainTaca:
         old, new = (load_checkpoint(workspace[role]) for role in ("old", "new"))
         _, log = train_taca(old, new, cfg_mod.taca_config_from(config),
                             load_dataset(workspace["data"]),
-                            cfg_mod.train_config_from(config, steps=2, taca=True))
+                            dataclasses.replace(cfg_mod.train_config_from(config, "taca"),
+                                                steps=2))
         unit = Tensor(np.eye(4))
         _, components = compat_total(unit, unit, unit, cfg_mod.loss_config_from(config))
         assert {row._fields for row in log} == {("step", "total", *components)}
@@ -445,29 +447,55 @@ class TestEvalCompat:
         assert main(args + ["--force"]) in (EXIT_OK, EXIT_ORDERING)
 
     def test_seed_override_is_in_the_digest(self, workspace, tmp_path, capsys):
-        digest = lambda path: load_checkpoint(path).meta["config_digest"]
-        seed5 = str(tmp_path / "new-seed5.tack")
-        assert main(["pretrain", "--role", "new", "--seed", "5", "--data", workspace["data"],
-                     "--out", seed5, "--config", workspace["cfg"]]) == EXIT_OK
-        # A config whose train.seed is 5 trains the new role at seed 1005.
+        # --seed 5 is train.seed 5: the digest names a config pretrain accepts,
+        # and that config reruns the checkpoint byte for byte.
         cfg5 = json.loads(json.dumps(FAST_CONFIG))
         cfg5["train"]["seed"] = 5
         cfg5_path = tmp_path / "seed5.json"
         cfg5_path.write_text(json.dumps(cfg5))
-        train5 = str(tmp_path / "new-train-seed5.tack")
-        assert main(["pretrain", "--role", "new", "--data", workspace["data"],
-                     "--out", train5, "--config", str(cfg5_path)]) == EXIT_OK
-        assert len({digest(workspace["new"]), digest(seed5), digest(train5)}) == 3
+        for role, seed in (("old", 5), ("new", 5 + cfg_mod.NEW_ROLE_SEED_OFFSET)):
+            flag, key = tmp_path / f"{role}-flag.tack", tmp_path / f"{role}-key.tack"
+            assert main(["pretrain", "--role", role, "--seed", "5", "--data",
+                         workspace["data"], "--out", str(flag),
+                         "--config", workspace["cfg"]]) == EXIT_OK
+            assert main(["pretrain", "--role", role, "--data", workspace["data"],
+                         "--out", str(key), "--config", str(cfg5_path)]) == EXIT_OK
+            assert flag.read_bytes() == key.read_bytes()
+            meta = load_checkpoint(str(flag)).meta
+            assert meta["seed"] == seed
+            assert meta["config_digest"] == cfg_mod.config_digest(
+                cfg_mod.resolve_config(cfg5))
+            assert meta["config_digest"] != load_checkpoint(workspace[role]).meta["config_digest"]
         capsys.readouterr()
         # The mismatched pair stops on the digest, before the backbone check.
         report = tmp_path / "report.json"
         assert main(["eval-compat", "--old", workspace["old"], "--taca", workspace["taca"],
-                     "--new-cold", seed5, "--data", workspace["eval"], "--task",
+                     "--new-cold", str(flag), "--data", workspace["eval"], "--task",
                      "retrieval", "--out", str(report),
                      "--config", workspace["cfg"]]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "new checkpoint digest" in err and "visual tensor" not in err
         assert not report.exists()
+
+    def test_attachment_as_old_is_io_error_before_digests(self, workspace, tmp_path,
+                                                          capsys):
+        # An attachment from another config: its digest does not match the one
+        # the attachment under test recorded, but its kind is checked first.
+        cfg7 = json.loads(json.dumps(FAST_CONFIG))
+        cfg7["train"]["steps"] = 7
+        cfg7_path = tmp_path / "steps7.json"
+        cfg7_path.write_text(json.dumps(cfg7))
+        other = str(tmp_path / "other-taca.tack")
+        assert main(["train-taca", "--old", workspace["old"], "--new", workspace["new"],
+                     "--data", workspace["data"], "--out", other,
+                     "--config", str(cfg7_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["eval-compat", "--old", other, "--taca", workspace["taca"],
+                     "--data", workspace["eval"], "--task", "retrieval",
+                     "--config", workspace["cfg"]]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "expected a clip checkpoint" in err and "taca_attachment" in err
+        assert "digest" not in err
 
     def test_new_cold_that_is_not_the_attachments_backbone(self, workspace, tmp_path,
                                                            capsys):

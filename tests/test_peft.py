@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -260,5 +262,22 @@ class TestCountTrainable:
         cfg, enc, d_old = random_taca_config(rng)
         weights = init_encoder(enc, seed=i)
         attachment, _ = attach_taca(weights, cfg, d_old, seed=i)
+        enumerated = sum(t.values.size for t in attachment.trainable_tensors())
+        assert count_trainable(cfg, enc, d_old)["exact_count"] == enumerated
+
+    def test_lora_formula_hand_case(self):
+        spec = ImageSpec(16, 16, 1, 4)
+        enc = VisualEncoderConfig(spec, layers=2, width=8, heads=2, embed_dim=16)
+        cfg = TacaConfig(variant="lora", rank=2, projector_hidden=32)
+        counts = count_trainable(cfg, enc, dim_old=8)
+        assert counts["formula_count"] == 2 * 2 * 2 * (8 + 8) + 768  # q and v, A and B
+        assert counts["exact_count"] == 896 + 40  # the projector's biases
+
+    @pytest.mark.parametrize("i", range(10))
+    def test_lora_exact_count_matches_enumeration(self, i):
+        rng = np.random.default_rng(200 + i)
+        cfg, enc, d_old = random_taca_config(rng)
+        cfg = dataclasses.replace(cfg, variant="lora", rank=int(rng.integers(1, 9)))
+        attachment, _ = attach_taca(init_encoder(enc, seed=i), cfg, d_old, seed=i)
         enumerated = sum(t.values.size for t in attachment.trainable_tensors())
         assert count_trainable(cfg, enc, d_old)["exact_count"] == enumerated
