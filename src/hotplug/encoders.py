@@ -23,6 +23,9 @@ INIT_STD = 0.02
 # Rows per no-grad encode. Chunks of 2 to 256 rows give bitwise-equal features
 # (OpenBLAS, default encoders); a 1-row chunk, numpy's GEMV path, differs, so
 # encode_chunked folds a 1-row tail into the chunk before it (64 + 1 rows).
+# train_taca's cache relies on the same rows-per-GEMM invariance: the frozen
+# backbone outputs it forms in these chunks are bitwise those its training
+# batches (32 rows by default) would form.
 ENCODE_CHUNK = 64
 # A block's hook points, in forward order: the attention's q/v weights (LoRA),
 # the attention output and the FFN output (adapters).
@@ -201,37 +204,50 @@ def _trunk(weights: EncoderWeights, fork: tuple, readout: int,
     """From ``fork`` on: the blocks, then ``ln_f``, ``proj`` and unit-normalization
     of row ``readout``, a (B, d) embedding.
 
-    A fork (block, site, x, y) is the state before a site's hook: the residual
-    stream ``x`` and the output ``y`` the hook acts on (None at "qv"); the stem's
-    is (0, "qv", stem, None). With ``stop`` = (block, site) the trunk returns its
-    fork there instead. The last block keeps only the readout row after its
-    attention residual, so its FFN runs on (B, width).
+    A fork (block, site, x, y) is the state at a site's hook: the residual stream
+    ``x`` and the output ``y`` the hook acts on, or None where that output is not
+    formed yet (always at "qv"); the stem's is (0, "qv", stem, None). With
+    ``stop`` = (block, site) the trunk returns its fork there before forming
+    ``y``; ``_site_output`` forms it. The last block keeps only the readout row
+    after its attention residual, so its FFN runs on (B, width).
     """
-    cfg, params = weights.config, weights.params
+    cfg = weights.config
     first, site, x, y = fork
     for i in range(first, cfg.layers):
-        p = f"block{i}"
         for s in SITES[SITES.index(site) if i == first else 0:]:
             if (i, s) == stop:
                 return i, s, x, y
-            if s == "qv":  # LoRA's hook sits inside the attention
-                a_in = ad.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-                y = _attention(params, p, a_in, cfg.heads, attachment, i)
+            if s == "qv":  # LoRA's hook sits inside the attention, formed at "attn"
                 continue
+            if y is None:
+                y = _site_output(weights, (i, s, x, None), attachment)
             if attachment is not None:
                 y = attachment.apply_adapter(i, s, y)
-            x = ad.add(x, y)
-            if s == "attn":
-                if i == cfg.layers - 1:  # only the readout row reaches the embedding
-                    x = ad.index_select(x, 1, readout)
-                f_in = ad.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-                h = ad.matmul(f_in, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])
-                h = ad.elementwise_activation(h, "gelu")
-                y = ad.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
-            elif collect is not None:
+            x, y = ad.add(x, y), None
+            if s == "attn" and i == cfg.layers - 1:  # only the readout row goes on
+                x = ad.index_select(x, 1, readout)
+            elif s == "ffn" and collect is not None:
                 collect.append(x.values.copy())
+    params = weights.params
     head = ad.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
     return ad.l2_normalize_rows(ad.matmul(head, params["proj"]))
+
+
+def _site_output(weights: EncoderWeights, fork: tuple, attachment=None):
+    """The output a fork's site hooks, formed from its residual stream: the
+    attention's at "attn" (through ``attachment``'s q/v hooks), the FFN's at
+    "ffn", None at "qv"."""
+    i, site, x, _ = fork
+    params, p = weights.params, f"block{i}"
+    if site == "qv":
+        return None
+    if site == "attn":
+        a_in = ad.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
+        return _attention(params, p, a_in, weights.config.heads, attachment, i)
+    f_in = ad.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
+    h = ad.matmul(f_in, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])
+    h = ad.elementwise_activation(h, "gelu")
+    return ad.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
 
 
 def _image_stem(weights: EncoderWeights, images) -> tuple:
@@ -257,15 +273,22 @@ def _image_stem(weights: EncoderWeights, images) -> tuple:
 
 
 def encode_image(weights: EncoderWeights, images, attachment=None,
-                 return_blocks: bool = False):
+                 return_blocks: bool = False, resume: tuple | None = None):
     """Embed an image batch (B, H, W, C) to a (B, d) tensor of unit vectors.
 
     With ``return_blocks`` also returns the per-block hidden states (values only):
     (B, T, width) for every block but the last, whose entry is the CLS row
-    alone, (B, width).
+    alone, (B, width). With ``resume`` = (site, y), ``y`` being this batch's
+    ``image_site_output`` values at ``site``, only the residual stream at
+    ``site`` is rebuilt (for block 0's "ffn": the stem, LN1, attention and
+    residual) and the pass goes on from ``y``, bitwise equal to the whole pass.
     """
     collect = [] if return_blocks else None
-    emb = _trunk(weights, _image_stem(weights, images), 0, attachment, collect)  # CLS row
+    fork = _image_stem(weights, images)
+    if resume is not None:
+        site, y = resume
+        fork = (*_trunk(weights, fork, 0, collect=collect, stop=site)[:3], Tensor(y))
+    emb = _trunk(weights, fork, 0, attachment, collect)  # CLS row
     return (emb, collect) if return_blocks else emb
 
 
@@ -275,19 +298,37 @@ def encode_image_forked(weights: EncoderWeights, images, attachment,
     pass up to ``site`` = (block, one of SITES), where its first hook sits. Each
     is bitwise equal to its own whole pass."""
     fork = _trunk(weights, _image_stem(weights, images), 0, stop=site)
+    fork = (*fork[:3], _site_output(weights, fork))
     return _trunk(weights, fork, 0, attachment), _trunk(weights, fork, 0)
 
 
+def image_site_output(weights: EncoderWeights, images, site: tuple) -> Tensor | None:
+    """The bare backbone's output at ``site`` = (block, one of SITES) for an image
+    batch, which a hook there acts on and ``encode_image`` can resume from; None
+    at "qv", whose hook sits inside the attention."""
+    if site[1] == "qv":  # nothing to form, so not even the stem runs
+        return None
+    return _site_output(weights, _trunk(weights, _image_stem(weights, images), 0,
+                                        stop=site))
+
+
 def encode_chunked(encode, inputs):
-    """``encode``'s Tensor values, ENCODE_CHUNK rows at a time, under no_grad. An
-    ``encode`` that returns a tuple of Tensors gives a tuple of arrays."""
-    stops = [*range(ENCODE_CHUNK, inputs.shape[0] - 1, ENCODE_CHUNK), inputs.shape[0]]
+    """``encode``'s Tensor values, ENCODE_CHUNK rows at a time, under no_grad,
+    each written into one array allocated for all rows. An ``encode`` that
+    returns a tuple gives a tuple of arrays, with None where it gives None."""
+    n = inputs.shape[0]
+    stops = [*range(ENCODE_CHUNK, n - 1, ENCODE_CHUNK), n]
+    outs = None
     with ad.no_grad():  # no 1-row chunk unless the input has 1 row
-        chunks = [encode(inputs[a:b]) for a, b in zip([0, *stops], stops)]
-    if isinstance(chunks[0], Tensor):
-        return np.concatenate([c.values for c in chunks], axis=0)
-    return tuple(np.concatenate([c.values for c in column], axis=0)
-                 for column in zip(*chunks))
+        for a, b in zip([0, *stops], stops):
+            got = encode(inputs[a:b])
+            parts = (got,) if isinstance(got, Tensor) else got
+            if outs is None:
+                outs = [None if t is None else np.empty((n, *t.shape[1:])) for t in parts]
+            for out, t in zip(outs, parts):
+                if out is not None:
+                    out[a:b] = t.values
+    return outs[0] if isinstance(got, Tensor) else tuple(outs)
 
 
 def encode_text(weights: EncoderWeights, tokens) -> Tensor:

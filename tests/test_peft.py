@@ -232,6 +232,11 @@ class TestSharedBackbonePass:
                                                    images))
         unhooked = projector_forward(attachment.projector, Tensor(cold)).values
         assert not np.allclose(hot, unhooked)  # the hooks act past the fork
+        _, hooked = encode_chunked(lambda x: (adapted.encode(x), adapted.hook_output(x)),
+                                   images)
+        batch = rng.permutation(n)[:32]  # a training batch resumed from the cache
+        resumed = adapted.encode(images[batch], None if hooked is None else hooked[batch])
+        assert np.array_equal(resumed.values, hot[batch])
 
 
 class TestCountTrainable:

@@ -12,6 +12,7 @@ from hotplug.encoders import (
     ImageSpec,
     TextEncoderConfig,
     VisualEncoderConfig,
+    encode_chunked,
     encode_image,
     encode_text,
     init_encoder,
@@ -365,6 +366,63 @@ class TestTrainTaca:
         with pytest.raises(ContractError, match="frozen backbone tensor "
                            "new_visual/block1.ffn.w2 changed during training"):
             train_taca(old, new, TacaConfig(bottleneck=4), ds, FAST)
+
+    @pytest.mark.parametrize("taca_cfg, cached", [
+        (TacaConfig(bottleneck=4), True),
+        (TacaConfig(variant="lora", rank=2), False),
+    ], ids=["adapter", "lora"])
+    def test_block0_ffn_runs_once_per_image_before_an_adapter(self, monkeypatch,
+                                                             taca_cfg, cached):
+        ds, old, new = small_clip_pair()
+        w1 = new.tensors["visual/block0.ffn.w1"]
+        rows, real_matmul = [], ad.matmul
+
+        def counting_matmul(a, b, bias=None):
+            if b.shape == w1.shape and np.array_equal(b.values, w1):
+                rows.append(a.shape[0])
+            return real_matmul(a, b, bias)
+
+        monkeypatch.setattr(ad, "matmul", counting_matmul)
+        cfg = TrainConfig(steps=5, batch_size=4, seed=0)
+        train_taca(old, new, taca_cfg, ds, cfg)
+        assert sum(rows) == (len(ds) if cached else cfg.steps * cfg.batch_size)
+
+    @staticmethod
+    def _reference_train_taca(old, new, taca_cfg, ds, train_cfg):
+        """train_taca's loop with every batch encoded whole by ``adapted.encode``."""
+        old_visual, old_text, tau = clip_encoders_from_checkpoint(old)
+        new_visual, _, _ = clip_encoders_from_checkpoint(new)
+        attachment, adapted = attach_taca(new_visual, taca_cfg,
+                                          old_visual.config.embed_dim, seed=train_cfg.seed)
+        loss_cfg = CompatLossConfig(contrastive=ContrastiveConfig(temperature=tau))
+        old_img = encode_chunked(lambda x: encode_image(old_visual, x), ds.images)
+        old_txt = encode_chunked(lambda c: encode_text(old_text, c), ds.captions)
+        log = training._fit(
+            attachment.trainable_tensors(), len(ds), train_cfg,
+            lambda batch: compat_total(adapted.encode(ds.images[batch]),
+                                       Tensor(old_txt[batch]), Tensor(old_img[batch]),
+                                       loss_cfg))
+        return {name: t.values for name, t in attachment.named_tensors().items()}, log
+
+    @pytest.mark.parametrize("taca_cfg", [
+        TacaConfig(bottleneck=4),
+        TacaConfig(bottleneck=4, adapters_per_block=2),
+        TacaConfig(bottleneck=4, inserted_layers=(2, 3)),
+        TacaConfig(variant="lora", rank=2),
+    ], ids=["adapter", "adapters_per_block_2", "inserted_layers_2_3", "lora"])
+    def test_bitwise_equal_to_encoding_every_batch_whole(self, taca_cfg):
+        # 129 = 2 * ENCODE_CHUNK + 1 images: the cache folds a 1-row tail.
+        new_vcfg = dataclasses.replace(NEW_VCFG, layers=3)
+        ds = generate_dataset(129, 6, SPEC)
+        old = pretrain_clip(OLD_VCFG, TCFG, ds, FAST)
+        new = pretrain_clip(new_vcfg, NEW_TCFG, ds,
+                            TrainConfig(steps=3, batch_size=4, seed=1000))
+        train_cfg = TrainConfig(steps=6, batch_size=32, seed=3)
+        ckpt, log = train_taca(old, new, taca_cfg, ds, train_cfg)
+        want, want_log = self._reference_train_taca(old, new, taca_cfg, ds, train_cfg)
+        assert log == want_log
+        for name, values in want.items():
+            assert np.array_equal(ckpt.tensors[name], values), name
 
     def test_log_recomposition_every_step(self):
         ds, old, new = small_clip_pair()
