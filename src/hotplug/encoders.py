@@ -23,8 +23,8 @@ INIT_STD = 0.02
 # Rows per no-grad encode. Chunks of 2 to 256 rows give bitwise-equal features
 # (OpenBLAS, default encoders); a 1-row chunk, numpy's GEMV path, differs, so
 # encode_chunked folds a 1-row tail into the chunk before it (64 + 1 rows).
-# train_taca's cache relies on the same rows-per-GEMM invariance: the frozen
-# backbone outputs it forms in these chunks are bitwise those its training
+# train_taca's cache relies on the same rows-per-GEMM invariance: the outputs
+# of the image_fork it forms in these chunks are bitwise those its training
 # batches (32 rows by default) would form.
 ENCODE_CHUNK = 64
 # A block's hook points, in forward order: the attention's q/v weights (LoRA),
@@ -272,44 +272,29 @@ def _image_stem(weights: EncoderWeights, images) -> tuple:
     return 0, "qv", ad.add(x, pos), None
 
 
+def image_fork(weights: EncoderWeights, images, site: tuple, y=None) -> tuple:
+    """The trunk's fork at ``site`` = (block, one of SITES) for an image batch:
+    the residual stream there and the output the hook there acts on (None at
+    "qv", whose hook sits inside the attention). Given ``y``, this batch's
+    output values at ``site`` from an earlier fork, only the residual stream is
+    formed (for block 0's "ffn": the stem, LN1, attention and residual)."""
+    fork = _trunk(weights, _image_stem(weights, images), 0, stop=site)
+    return (*fork[:3], _site_output(weights, fork) if y is None else Tensor(y))
+
+
 def encode_image(weights: EncoderWeights, images, attachment=None,
-                 return_blocks: bool = False, resume: tuple | None = None):
+                 return_blocks: bool = False, fork: tuple | None = None):
     """Embed an image batch (B, H, W, C) to a (B, d) tensor of unit vectors.
 
     With ``return_blocks`` also returns the per-block hidden states (values only):
     (B, T, width) for every block but the last, whose entry is the CLS row
-    alone, (B, width). With ``resume`` = (site, y), ``y`` being this batch's
-    ``image_site_output`` values at ``site``, only the residual stream at
-    ``site`` is rebuilt (for block 0's "ffn": the stem, LN1, attention and
-    residual) and the pass goes on from ``y``, bitwise equal to the whole pass.
+    alone, (B, width). With ``fork``, this batch's ``image_fork``, the pass goes
+    on from there, bitwise equal to the whole pass; the states start at its block.
     """
     collect = [] if return_blocks else None
-    fork = _image_stem(weights, images)
-    if resume is not None:
-        site, y = resume
-        fork = (*_trunk(weights, fork, 0, collect=collect, stop=site)[:3], Tensor(y))
+    fork = _image_stem(weights, images) if fork is None else fork
     emb = _trunk(weights, fork, 0, attachment, collect)  # CLS row
     return (emb, collect) if return_blocks else emb
-
-
-def encode_image_forked(weights: EncoderWeights, images, attachment,
-                        site: tuple) -> tuple[Tensor, Tensor]:
-    """``encode_image`` of one batch with and without ``attachment``, from one
-    pass up to ``site`` = (block, one of SITES), where its first hook sits. Each
-    is bitwise equal to its own whole pass."""
-    fork = _trunk(weights, _image_stem(weights, images), 0, stop=site)
-    fork = (*fork[:3], _site_output(weights, fork))
-    return _trunk(weights, fork, 0, attachment), _trunk(weights, fork, 0)
-
-
-def image_site_output(weights: EncoderWeights, images, site: tuple) -> Tensor | None:
-    """The bare backbone's output at ``site`` = (block, one of SITES) for an image
-    batch, which a hook there acts on and ``encode_image`` can resume from; None
-    at "qv", whose hook sits inside the attention."""
-    if site[1] == "qv":  # nothing to form, so not even the stem runs
-        return None
-    return _site_output(weights, _trunk(weights, _image_stem(weights, images), 0,
-                                        stop=site))
 
 
 def encode_chunked(encode, inputs):

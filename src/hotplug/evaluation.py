@@ -26,7 +26,7 @@ from .data import (
     render_caption,
 )
 from .encoders import encode_chunked, encode_image, encode_text
-from .errors import ConfigError, ContractError, ParameterError
+from .errors import ConfigError, ContractError, DimensionError, ParameterError
 from .training import (
     AdamW,
     Checkpoint,
@@ -78,12 +78,12 @@ def train_head(features, labels, num_classes: int, seeds, steps: int = 300,
         raise ConfigError("head training needs at least one seed")
     if n != labels.shape[0]:
         raise ContractError(f"features/labels disagree: {n} vs {labels.shape[0]}")
+    if n < num_classes:
+        raise ConfigError(f"need at least {num_classes} samples, got {n}")
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ConfigError("labels out of range")
     if np.unique(labels).size < 2:
         raise ConfigError("head training needs at least two classes present")
-    if n < num_classes:
-        raise ConfigError(f"need at least {num_classes} samples, got {n}")
     w = ad.Tensor(np.stack([np.random.default_rng(s).normal(0.0, 0.02, size=(d, num_classes))
                             for s in seeds]), trainable=True)  # (S, d, C)
     b = ad.Tensor(np.zeros((len(seeds), 1, num_classes)), trainable=True)
@@ -119,6 +119,9 @@ def eval_top1(head: DownstreamHead, features, labels) -> float:
     if features.shape[0] != labels.shape[0]:
         raise ContractError(
             f"features/labels disagree: {features.shape[0]} vs {labels.shape[0]}")
+    if features.ndim != 2 or features.shape[1] != head.weight.shape[0]:
+        raise DimensionError(f"eval_top1: features {features.shape} do not fit "
+                             f"a head of input width {head.weight.shape[0]}")
     logits = features @ head.weight + head.bias
     pred = logits.argmax(axis=1)  # np.argmax picks the lowest tied index
     return float((pred == labels).mean())
@@ -179,9 +182,9 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
     backbone, bitwise: a mismatch is a ``ConfigError``, or with ``force`` a
     warning. ``k``, ``head_seeds`` and ``gallery_seed`` default to the default
     config's ``eval`` section. Each encoder encodes the eval split once; the
-    hot-plugged and cold-plug encoders share one backbone pass up to the
-    attachment's first hooked site. For classification the first half trains
-    the heads and the second is scored.
+    hot-plugged and cold-plug encoders go on from one fork of each chunk at
+    the attachment's first hook (``adapted.fork``). For classification the
+    first half trains the heads and the second is scored.
     """
     old_visual, old_text, _ = clip_encoders_from_checkpoint(old_ckpt)
     new_visual = new_text = None
@@ -205,20 +208,20 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
         raise ConfigError(
             f"projector output dim {adapted.attachment.projector.dim_old} "
             f"!= old embed dim {old_visual.config.embed_dim}")
-    hot_and_cold = lambda x: (adapted.encode(x),)  # a batch's hot- and cold-plug features
-    if new_visual is not None:
-        if (differs := new_visual.first_difference(adapted.weights)) is None:
-            hot_and_cold = adapted.encode_with_backbone  # one backbone pass
-        else:
-            _refuse_unless_forced(
-                f"new checkpoint visual tensor {differs!r} is not bitwise equal to "
-                f"the backbone embedded in the attachment", force)
-            hot_and_cold = lambda x: (adapted.encode(x), encode_image(new_visual, x))
+    shared = new_visual is not None  # one backbone pass up to the first hook
+    if shared and (differs := new_visual.first_difference(adapted.weights)) is not None:
+        _refuse_unless_forced(
+            f"new checkpoint visual tensor {differs!r} is not bitwise equal to "
+            f"the backbone embedded in the attachment", force)
+        shared = False
 
-    images = eval_dataset.images
+    def encode(x):  # a chunk's old, hot-plug and, with new_ckpt, cold-plug features
+        fork = adapted.fork(x) if shared else None
+        cold = () if new_visual is None else (encode_image(new_visual, x, fork=fork),)
+        return encode_image(old_visual, x), adapted.encode(x, fork), *cold
+
     labels = eval_dataset.factor_indices()
-    old_feats, adapted_feats, *new_feats = encode_chunked(
-        lambda x: (encode_image(old_visual, x), *hot_and_cold(x)), images)
+    old_feats, adapted_feats, *new_feats = encode_chunked(encode, eval_dataset.images)
     new_feats = new_feats[0] if new_feats else None
 
     if task == "retrieval":

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoders import (SITES, EncoderWeights, VisualEncoderConfig, encode_image,
-                       encode_image_forked, image_site_output)
+from .encoders import SITES, EncoderWeights, VisualEncoderConfig, encode_image, image_fork
 from .errors import ConfigError, DimensionError, checked, check_fields
 
 PROJECTOR_INIT_STD = 0.02
@@ -201,27 +200,17 @@ class AdaptedVisualEncoder:
         self.weights = weights
         self.attachment = attachment
 
-    def encode(self, images, hooked: np.ndarray | None = None) -> Tensor:
-        """The composed features of one batch. Given ``hooked``, the batch's
-        ``hook_output`` values, the backbone resumes from the first hook;
-        bitwise equal to the whole pass."""
-        resume = None if hooked is None else (self.attachment.first_site(), hooked)
-        feats = encode_image(self.weights, images, attachment=self.attachment,
-                             resume=resume)
+    def encode(self, images, fork: tuple | None = None) -> Tensor:
+        """The composed features of one batch, going on from ``fork`` (from
+        ``self.fork``) when given; bitwise equal to the whole pass."""
+        feats = encode_image(self.weights, images, attachment=self.attachment, fork=fork)
         return projector_forward(self.attachment.projector, feats)
 
-    def encode_with_backbone(self, images) -> tuple[Tensor, Tensor]:
-        """(``encode``, the bare backbone's ``encode_image``) of one batch, from one
-        backbone pass up to the attachment's first hooked site."""
-        feats, bare = encode_image_forked(self.weights, images, self.attachment,
-                                          self.attachment.first_site())
-        return projector_forward(self.attachment.projector, feats), bare
-
-    def hook_output(self, images) -> Tensor | None:
-        """The frozen backbone's output at the attachment's first hook for one
-        batch, a constant of each image that ``encode`` can resume from; None
-        for LoRA, whose hook sits inside the attention."""
-        return image_site_output(self.weights, images, self.attachment.first_site())
+    def fork(self, images, hooked: np.ndarray | None = None) -> tuple:
+        """The frozen backbone's ``image_fork`` at the attachment's first hook, a
+        constant of each image; ``hooked`` is the batch's output there from an
+        earlier fork."""
+        return image_fork(self.weights, images, self.attachment.first_site(), hooked)
 
 
 def attach_taca(new_encoder: EncoderWeights, config: TacaConfig, dim_old: int,

@@ -299,11 +299,11 @@ def train_taca(old_ckpt: Checkpoint, new_ckpt: Checkpoint, taca_cfg: TacaConfig,
     The contrastive term is scored at the old checkpoint's temperature, in
     place of ``loss_cfg.contrastive``.
 
-    The old image and text features, and the frozen new backbone's output at
-    the attachment's first adapter hook, are formed once, in chunks. Each step
-    rebuilds only the residual stream at that hook and resumes from the cached
-    output (N x tokens x width float64 values: 13.4 MB at 2048 images). A LoRA
-    hook sits inside the attention, so a LoRA run caches no backbone output.
+    The old image and text features, and the output ``y`` of the frozen new
+    backbone's fork at the attachment's first adapter hook, are formed once, in
+    chunks; only ``y`` is kept (N x tokens x width float64 values: 13.4 MB at
+    2048 images). Each step rebuilds the fork's residual stream from its batch's
+    ``y``. A LoRA hook sits inside the attention, so a LoRA run caches nothing.
 
     Returns (attachment checkpoint, loss log) where the log holds one row per
     step, with fields ``("step", "total", *components)`` in ``compat_total``'s
@@ -318,16 +318,18 @@ def train_taca(old_ckpt: Checkpoint, new_ckpt: Checkpoint, taca_cfg: TacaConfig,
         loss_cfg, contrastive=ContrastiveConfig(temperature=tau))
     frozen = {"old_visual": old_visual, "old_text": old_text, "new_visual": new_visual}
     snapshot = {label: weights.clone() for label, weights in frozen.items()}
-    # The old encoders' features and the new backbone's output at the first
-    # hook are constants of each sample: computed once, not once per step.
-    old_img_all, hooked_all = encode_chunked(
-        lambda x: (encode_image(old_visual, x), adapted.hook_output(x)), dataset.images)
+    # Constants of each sample, formed once, not once per step: the old features
+    # and the y of the new backbone's fork at the first hook. A LoRA hook sits in
+    # the attention ("qv"), where a fork has no y, so the new backbone is not run here.
+    cached = attachment.first_site()[1] != "qv"
+    old_img_all, hooked_all = encode_chunked(lambda x: (
+        encode_image(old_visual, x), adapted.fork(x)[3] if cached else None), dataset.images)
     old_txt_all = encode_chunked(lambda c: encode_text(old_text, c),
                                  dataset.captions)
 
     def loss_of(batch):
-        hooked = None if hooked_all is None else hooked_all[batch]
-        return compat_total(adapted.encode(dataset.images[batch], hooked),
+        fork = adapted.fork(dataset.images[batch], hooked_all[batch] if cached else None)
+        return compat_total(adapted.encode(dataset.images[batch], fork),
                             Tensor(old_txt_all[batch]), Tensor(old_img_all[batch]),
                             loss_cfg)
 

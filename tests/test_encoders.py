@@ -13,8 +13,8 @@ from hotplug.encoders import (
     VisualEncoderConfig,
     encode_chunked,
     encode_image,
-    encode_image_forked,
     encode_text,
+    image_fork,
     init_encoder,
     _attention,
     _patchify_batch,
@@ -171,6 +171,17 @@ class TestInitEncoder:
         weights = init_encoder(cfg, seed=0)
         enumerated = sum(t.values.size for t in weights.tensors())
         assert counter(cfg) == enumerated
+
+    def test_first_difference_names_the_first_tensor_that_differs(self):
+        a, b = init_encoder(VCFG, seed=0), init_encoder(VCFG, seed=0)
+        assert a.first_difference(b) is None
+        b.params["block1.ffn.b1"].values[3] += 1e-12
+        b.params["proj"].values[0, 0] += 1.0
+        assert a.first_difference(b) == "block1.ffn.b1"
+        deeper = init_encoder(VisualEncoderConfig(SPEC, layers=3, width=32, heads=4,
+                                                  embed_dim=16), seed=0)
+        assert deeper.first_difference(a) == "block2.ln1.gain"  # only one has it
+        assert a.first_difference(deeper) == "proj"  # drawn after block2
 
 
 DEAD_GRAD_RATIO = 1e-8  # live tensors sit above 1e-5 of the largest, a key bias near 1e-18
@@ -369,23 +380,18 @@ class TestEncodeChunked:
         assert np.array_equal(pair[1], 2.0 * whole)
 
 
-class TestEncodeImageForked:
+class TestImageFork:
     @pytest.mark.parametrize("block", range(VCFG.layers))
     @pytest.mark.parametrize("site", SITES)
-    def test_both_branches_bitwise_equal_to_one_pass(self, block, site):
+    def test_whole_and_rebuilt_forks_resume_bitwise(self, block, site):
         weights = init_encoder(VCFG, seed=3)
         images = np.random.default_rng(4).uniform(size=(5, 16, 16, 1))
         want = encode_image(weights, images).values
-        for emb in encode_image_forked(weights, images, None, (block, site)):
-            assert np.array_equal(emb.values, want)
-
-    def test_first_difference_names_the_first_tensor_that_differs(self):
-        a, b = init_encoder(VCFG, seed=0), init_encoder(VCFG, seed=0)
-        assert a.first_difference(b) is None
-        b.params["block1.ffn.b1"].values[3] += 1e-12
-        b.params["proj"].values[0, 0] += 1.0
-        assert a.first_difference(b) == "block1.ffn.b1"
-        deeper = init_encoder(VisualEncoderConfig(SPEC, layers=3, width=32, heads=4,
-                                                  embed_dim=16), seed=0)
-        assert deeper.first_difference(a) == "block2.ln1.gain"  # only one has it
-        assert a.first_difference(deeper) == "proj"  # drawn after block2
+        whole = image_fork(weights, images, (block, site))
+        assert whole[:2] == (block, site)
+        assert (whole[3] is None) == (site == "qv")  # a "qv" hook has no output yet
+        y = None if whole[3] is None else whole[3].values
+        rebuilt = image_fork(weights, images, (block, site), y)  # as from a cache
+        assert np.array_equal(rebuilt[2].values, whole[2].values)
+        for fork in (whole, rebuilt):
+            assert np.array_equal(encode_image(weights, images, fork=fork).values, want)

@@ -12,7 +12,7 @@ from hotplug.encoders import (
     VisualEncoderConfig,
     encode_image,
 )
-from hotplug.errors import ConfigError, ContractError, ParameterError
+from hotplug.errors import ConfigError, ContractError, DimensionError, ParameterError
 from hotplug.evaluation import (
     CompatReport,
     DownstreamHead,
@@ -224,6 +224,10 @@ class TestTrainHead:
         with pytest.raises(ConfigError):
             train_head(feats, np.array([0, 1, 2]), 4, seeds=(0,))
 
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ConfigError, match="need at least 2 samples, got 0"):
+            train_head(np.empty((0, 2)), np.empty(0, dtype=int), 2, seeds=(0,))
+
     def test_inputs_not_mutated(self):
         feats, labels = self.separable_blobs()
         before = feats.copy()
@@ -254,6 +258,11 @@ class TestEvalTop1:
         with pytest.raises(ContractError):
             eval_top1(head, np.empty((0, 2)), np.empty(0, dtype=int))
 
+    def test_feature_width_must_fit_the_head(self):
+        head = DownstreamHead(np.eye(3), np.zeros(3))
+        with pytest.raises(DimensionError, match=r"features \(4, 2\).*width 3"):
+            eval_top1(head, np.ones((4, 2)), np.zeros(4, dtype=int))
+
 
 class TestReportFlags:
     def test_flags_recomputed_from_values(self):
@@ -276,7 +285,7 @@ class TestHotPlugReport:
         ds, eva, old, new, taca = tiny_pipeline
         old_visual, _, _ = clip_encoders_from_checkpoint(old)
         monkeypatch.setattr(AdaptedVisualEncoder, "encode",
-                            lambda self, images: encode_image(old_visual, images))
+                            lambda self, images, fork=None: encode_image(old_visual, images))
         for task in ("retrieval", "classification"):
             r = hot_plug_report(old, taca, None, eva, task)
             assert r.m_old_new == r.m_old_old
@@ -323,19 +332,18 @@ class TestHotPlugReport:
         rows = {"old": 0, "adapted": 0, "new": 0}
         role = {OLD_VCFG.embed_dim: "old", NEW_VCFG.embed_dim: "new"}
         real_encode = evaluation.encode_image
-        real_forked = AdaptedVisualEncoder.encode_with_backbone
+        real_adapted = AdaptedVisualEncoder.encode
 
-        def counting_encode(weights, images, **kwargs):
+        def counting_encode(weights, images, **kwargs):  # the old and the new features
             rows[role[weights.config.embed_dim]] += images.shape[0]
             return real_encode(weights, images, **kwargs)
 
-        def counting_forked(self, images):  # the hot-plugged and the new features
+        def counting_adapted(self, images, fork=None):  # the hot-plugged features
             rows["adapted"] += images.shape[0]
-            rows["new"] += images.shape[0]
-            return real_forked(self, images)
+            return real_adapted(self, images, fork)
 
         monkeypatch.setattr(evaluation, "encode_image", counting_encode)
-        monkeypatch.setattr(AdaptedVisualEncoder, "encode_with_backbone", counting_forked)
+        monkeypatch.setattr(AdaptedVisualEncoder, "encode", counting_adapted)
         for task in ("retrieval", "classification"):
             rows.update(dict.fromkeys(rows, 0))
             hot_plug_report(old, taca, new, eva, task, head_seeds=(0, 1))

@@ -1,8 +1,10 @@
-"""Every name imported into a library module is used there, and every
-module-level private function or class is referenced there.
+"""Every name imported into a library module is used there, every
+module-level private function or class is referenced there, and every public
+function or method is named by the library, its re-exports or the benchmark.
 
 No lint tool ships with the project, so this walks each module's syntax tree
-with the standard library. Package ``__init__`` re-exports are exempt.
+with the standard library. Package ``__init__`` re-exports are exempt from the
+unused-import check.
 """
 
 import ast
@@ -12,8 +14,9 @@ import pytest
 
 import hotplug
 
-MODULES = sorted(p for p in Path(hotplug.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SRC = Path(hotplug.__file__).parent
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(source: str) -> list:
@@ -69,3 +72,65 @@ def test_guard_flags_a_dead_helper():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_helpers(path):
     assert dead_helpers(path.read_text()) == []
+
+
+def called_only_by_tests(sources: dict, users: list) -> list:
+    """Public module-level functions and methods of ``sources`` (module name to
+    source) that nothing names outside their own definitions: no module of
+    ``sources``, a package ``__init__`` re-export included, and no source in
+    ``users``. A name counts wherever it appears: called, read as an attribute
+    or imported."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = {}
+    for tree in [*trees.values(), *map(ast.parse, users)]:
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            named.setdefault(name, set()).add(id(node))
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node, node.name)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(item, f"{node.name}.{item.name}") for item in node.body
+                        if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            for fn, qualname in defs:
+                own = set(map(id, ast.walk(fn)))
+                if not fn.name.startswith("_") and not named.get(fn.name, set()) - own:
+                    found.append((module, fn.lineno, qualname))
+    return sorted(found)
+
+
+def test_guard_flags_public_code_that_only_tests_call():
+    sources = {
+        "encoders.py": ("def encode_image():\n    pass\n"
+                        "def encode_image_forked():\n    return encode_image()\n"
+                        "def image_site_output(n):\n    return image_site_output(n - 1)\n"
+                        "def reexported():\n    pass\n"),
+        "peft.py": ("from .encoders import encode_image\n"
+                    "class Adapted:\n"
+                    "    def encode(self):\n        return encode_image()\n"
+                    "    def encode_with_backbone(self):\n        return self.encode()\n"
+                    "    def hook_output(self):\n        return self.hook_output()\n"
+                    "    def bench_only(self):\n        pass\n"
+                    "    def _private(self):\n        pass\n"),
+        "__init__.py": "from .encoders import reexported\n",
+    }
+    users = ["from hotplug.peft import Adapted\nAdapted().bench_only()\n"]
+    assert called_only_by_tests(sources, users) == [
+        ("encoders.py", 3, "encode_image_forked"),
+        ("encoders.py", 5, "image_site_output"),
+        ("peft.py", 5, "Adapted.encode_with_backbone"),
+        ("peft.py", 7, "Adapted.hook_output"),
+    ]
+
+
+def test_no_public_code_that_only_tests_call():
+    sources = {path.name: path.read_text() for path in [*MODULES, SRC / "__init__.py"]}
+    users = [path.read_text() for path in PERFBENCH.glob("*.py")]
+    assert users, f"no perfbench sources under {PERFBENCH}"
+    assert called_only_by_tests(sources, users) == []

@@ -226,17 +226,20 @@ class TestSharedBackbonePass:
         for t in attachment.trainable_tensors():  # hooks that change the forward
             t.values = rng.normal(0.0, 0.1, size=t.shape)
         images = rng.uniform(size=(n, 16, 16, 1))
-        hot, cold = encode_chunked(adapted.encode_with_backbone, images)
+
+        def hot_and_cold(x):  # one backbone pass up to the first hook
+            fork = adapted.fork(x)
+            return adapted.encode(x, fork), encode_image(weights, x, fork=fork), fork[3]
+
+        hot, cold, hooked = encode_chunked(hot_and_cold, images)
         assert np.array_equal(hot, encode_chunked(adapted.encode, images))
         assert np.array_equal(cold, encode_chunked(lambda x: encode_image(weights, x),
                                                    images))
         unhooked = projector_forward(attachment.projector, Tensor(cold)).values
         assert not np.allclose(hot, unhooked)  # the hooks act past the fork
-        _, hooked = encode_chunked(lambda x: (adapted.encode(x), adapted.hook_output(x)),
-                                   images)
         batch = rng.permutation(n)[:32]  # a training batch resumed from the cache
-        resumed = adapted.encode(images[batch], None if hooked is None else hooked[batch])
-        assert np.array_equal(resumed.values, hot[batch])
+        fork = adapted.fork(images[batch], None if hooked is None else hooked[batch])
+        assert np.array_equal(adapted.encode(images[batch], fork).values, hot[batch])
 
 
 class TestCountTrainable:

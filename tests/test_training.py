@@ -374,18 +374,23 @@ class TestTrainTaca:
     def test_block0_ffn_runs_once_per_image_before_an_adapter(self, monkeypatch,
                                                              taca_cfg, cached):
         ds, old, new = small_clip_pair()
-        w1 = new.tensors["visual/block0.ffn.w1"]
-        rows, real_matmul = [], ad.matmul
+        weights = {"w1": new.tensors["visual/block0.ffn.w1"],
+                   "stem": new.tensors["visual/patch_embed"]}
+        rows, real_matmul = dict.fromkeys(weights, 0), ad.matmul
 
         def counting_matmul(a, b, bias=None):
-            if b.shape == w1.shape and np.array_equal(b.values, w1):
-                rows.append(a.shape[0])
+            for name, w in weights.items():
+                if b.shape == w.shape and np.array_equal(b.values, w):
+                    rows[name] += a.shape[0]
             return real_matmul(a, b, bias)
 
         monkeypatch.setattr(ad, "matmul", counting_matmul)
         cfg = TrainConfig(steps=5, batch_size=4, seed=0)
         train_taca(old, new, taca_cfg, ds, cfg)
-        assert sum(rows) == (len(ds) if cached else cfg.steps * cfg.batch_size)
+        per_step = cfg.steps * cfg.batch_size
+        assert rows["w1"] == (len(ds) if cached else per_step)
+        # A LoRA run's cache pass forms nothing of the new backbone, not even its stem.
+        assert rows["stem"] == (len(ds) if cached else 0) + per_step
 
     @staticmethod
     def _reference_train_taca(old, new, taca_cfg, ds, train_cfg):
