@@ -23,13 +23,13 @@ INIT_STD = 0.02
 # Rows per no-grad encode. Chunks of 2 to 256 rows give bitwise-equal features
 # (OpenBLAS, default encoders); a 1-row chunk, numpy's GEMV path, differs, so
 # encode_chunked folds a 1-row tail into the chunk before it (64 + 1 rows).
-# train_taca's cache relies on the same rows-per-GEMM invariance: the outputs
-# of the image_fork it forms in these chunks are bitwise those its training
-# batches (32 rows by default) would form.
+# train_taca's cache relies on the same rows-per-GEMM invariance: the y of
+# the image_fork it forms in these chunks is bitwise what its training batches
+# (32 rows by default) would form.
 ENCODE_CHUNK = 64
-# A block's hook points, in forward order: the attention's q/v weights (LoRA),
-# the attention output and the FFN output (adapters).
-SITES = ("qv", "attn", "ffn")
+# A block's adapter hook points, in forward order: the attention output and the
+# FFN output. A LoRA update acts inside the attention weights, so it has none.
+SITES = ("attn", "ffn")
 
 
 @dataclass(frozen=True)
@@ -206,10 +206,10 @@ def _trunk(weights: EncoderWeights, fork: tuple, readout: int,
 
     A fork (block, site, x, y) is the state at a site's hook: the residual stream
     ``x`` and the output ``y`` the hook acts on, or None where that output is not
-    formed yet (always at "qv"); the stem's is (0, "qv", stem, None). With
-    ``stop`` = (block, site) the trunk returns its fork there before forming
-    ``y``; ``_site_output`` forms it. The last block keeps only the readout row
-    after its attention residual, so its FFN runs on (B, width).
+    formed yet; the stem's is (0, "attn", stem, None). With ``stop`` =
+    (block, site) the trunk returns its fork there before forming ``y``;
+    ``_site_output`` forms it. The last block keeps only the readout row after
+    its attention residual, so its FFN runs on (B, width).
     """
     cfg = weights.config
     first, site, x, y = fork
@@ -217,8 +217,6 @@ def _trunk(weights: EncoderWeights, fork: tuple, readout: int,
         for s in SITES[SITES.index(site) if i == first else 0:]:
             if (i, s) == stop:
                 return i, s, x, y
-            if s == "qv":  # LoRA's hook sits inside the attention, formed at "attn"
-                continue
             if y is None:
                 y = _site_output(weights, (i, s, x, None), attachment)
             if attachment is not None:
@@ -236,11 +234,9 @@ def _trunk(weights: EncoderWeights, fork: tuple, readout: int,
 def _site_output(weights: EncoderWeights, fork: tuple, attachment=None):
     """The output a fork's site hooks, formed from its residual stream: the
     attention's at "attn" (through ``attachment``'s q/v hooks), the FFN's at
-    "ffn", None at "qv"."""
+    "ffn"."""
     i, site, x, _ = fork
     params, p = weights.params, f"block{i}"
-    if site == "qv":
-        return None
     if site == "attn":
         a_in = ad.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
         return _attention(params, p, a_in, weights.config.heads, attachment, i)
@@ -250,12 +246,14 @@ def _site_output(weights: EncoderWeights, fork: tuple, attachment=None):
     return ad.matmul(h, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
 
 
-def _image_stem(weights: EncoderWeights, images) -> tuple:
-    """The trunk's starting fork for an image batch (B, H, W, C): patches, CLS
-    and positions."""
+def _image_stem(weights: EncoderWeights, batch) -> tuple:
+    """The trunk's starting fork for a batch: the batch itself if it is a fork,
+    else the stem of its images (B, H, W, C): patches, CLS and positions."""
     if not isinstance(weights.config, VisualEncoderConfig):
         raise ConfigError("encode_image requires visual weights")
-    cfg = weights.config
+    if isinstance(batch, tuple) and len(batch) == 4 and isinstance(batch[2], Tensor):
+        return batch
+    images, cfg = batch, weights.config
     spec = cfg.image_spec
     images = np.asarray(images, dtype=np.float64)
     if images.shape[1:] != (spec.height, spec.width, spec.channels):
@@ -269,38 +267,39 @@ def _image_stem(weights: EncoderWeights, images) -> tuple:
     cls = ad.broadcast_to(ad.reshape(params["cls_token"], (1, 1, k)), (b, 1, k))
     x = ad.concat([cls, x], axis=1)
     pos = ad.broadcast_to(ad.reshape(params["pos_embed"], (1, t, k)), (b, t, k))
-    return 0, "qv", ad.add(x, pos), None
+    return 0, "attn", ad.add(x, pos), None
 
 
 def image_fork(weights: EncoderWeights, images, site: tuple, y=None) -> tuple:
-    """The trunk's fork at ``site`` = (block, one of SITES) for an image batch:
-    the residual stream there and the output the hook there acts on (None at
-    "qv", whose hook sits inside the attention). Given ``y``, this batch's
-    output values at ``site`` from an earlier fork, only the residual stream is
-    formed (for block 0's "ffn": the stem, LN1, attention and residual)."""
+    """An image batch's fork at adapter ``site`` = (block, one of SITES): the
+    residual stream there and the output the hook there acts on. Given ``y``,
+    this batch's output values at ``site`` from an earlier fork, only the
+    residual stream is formed (for block 0's "ffn": the stem, LN1, attention
+    and residual). A fork stands for its batch in ``encode_image``."""
+    if site not in [(i, s) for i in range(weights.config.layers) for s in SITES]:
+        raise ParameterError(f"site {site!r} is not a (block, site) of this encoder")
     fork = _trunk(weights, _image_stem(weights, images), 0, stop=site)
+    if y is not None and np.shape(y) != fork[2].shape:
+        raise DimensionError(f"site output {np.shape(y)} does not fit stream {fork[2].shape}")
     return (*fork[:3], _site_output(weights, fork) if y is None else Tensor(y))
 
 
-def encode_image(weights: EncoderWeights, images, attachment=None,
-                 return_blocks: bool = False, fork: tuple | None = None):
-    """Embed an image batch (B, H, W, C) to a (B, d) tensor of unit vectors.
-
-    With ``return_blocks`` also returns the per-block hidden states (values only):
+def encode_image(weights: EncoderWeights, batch, attachment=None,
+                 return_blocks: bool = False):
+    """Embed a batch, images (B, H, W, C) or their ``image_fork``, to a (B, d)
+    tensor of unit vectors; from a fork, bitwise equal to the whole pass. With
+    ``return_blocks`` also returns the per-block hidden states (values only):
     (B, T, width) for every block but the last, whose entry is the CLS row
-    alone, (B, width). With ``fork``, this batch's ``image_fork``, the pass goes
-    on from there, bitwise equal to the whole pass; the states start at its block.
-    """
+    alone, (B, width); from a fork they start at its block."""
     collect = [] if return_blocks else None
-    fork = _image_stem(weights, images) if fork is None else fork
-    emb = _trunk(weights, fork, 0, attachment, collect)  # CLS row
+    emb = _trunk(weights, _image_stem(weights, batch), 0, attachment, collect)  # CLS row
     return (emb, collect) if return_blocks else emb
 
 
 def encode_chunked(encode, inputs):
     """``encode``'s Tensor values, ENCODE_CHUNK rows at a time, under no_grad,
     each written into one array allocated for all rows. An ``encode`` that
-    returns a tuple gives a tuple of arrays, with None where it gives None."""
+    returns a tuple of Tensors gives a tuple of arrays."""
     n = inputs.shape[0]
     stops = [*range(ENCODE_CHUNK, n - 1, ENCODE_CHUNK), n]
     outs = None
@@ -309,10 +308,9 @@ def encode_chunked(encode, inputs):
             got = encode(inputs[a:b])
             parts = (got,) if isinstance(got, Tensor) else got
             if outs is None:
-                outs = [None if t is None else np.empty((n, *t.shape[1:])) for t in parts]
+                outs = [np.empty((n, *t.shape[1:])) for t in parts]
             for out, t in zip(outs, parts):
-                if out is not None:
-                    out[a:b] = t.values
+                out[a:b] = t.values
     return outs[0] if isinstance(got, Tensor) else tuple(outs)
 
 
@@ -345,4 +343,4 @@ def encode_text(weights: EncoderWeights, tokens) -> Tensor:
     x = ad.embedding_lookup(params["tok_embed"], full)
     pos_rows = ad.embedding_lookup(params["pos_embed"], np.arange(seq))
     pos = ad.broadcast_to(ad.reshape(pos_rows, (1, seq, k)), (b, seq, k))
-    return _trunk(weights, (0, "qv", ad.add(x, pos), None), seq - 1)  # SEP row
+    return _trunk(weights, (0, "attn", ad.add(x, pos), None), seq - 1)  # SEP row

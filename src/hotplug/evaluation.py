@@ -44,6 +44,10 @@ def recall_at_k(query_feats, gallery_feats, ground_truth, k: int) -> float:
     query = np.asarray(query_feats, dtype=np.float64)
     gallery = np.asarray(gallery_feats, dtype=np.float64)
     truth = np.asarray(ground_truth)
+    if query.ndim != 2 or gallery.ndim != 2 or query.shape[1] != gallery.shape[1]:
+        raise DimensionError(f"recall_at_k: queries {query.shape} vs gallery {gallery.shape}")
+    if query.shape[0] == 0:
+        raise ContractError("recall_at_k: no queries")
     if not 1 <= k <= gallery.shape[0]:
         raise ParameterError(f"k={k} out of range 1..{gallery.shape[0]}")
     if truth.shape != (query.shape[0],):
@@ -181,10 +185,10 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
     attachment recorded, and ``new_ckpt``'s visual encoder against the embedded
     backbone, bitwise: a mismatch is a ``ConfigError``, or with ``force`` a
     warning. ``k``, ``head_seeds`` and ``gallery_seed`` default to the default
-    config's ``eval`` section. Each encoder encodes the eval split once; the
-    hot-plugged and cold-plug encoders go on from one fork of each chunk at
-    the attachment's first hook (``adapted.fork``). For classification the
-    first half trains the heads and the second is scored.
+    config's ``eval`` section. Each encoder encodes the eval split once; with
+    an adapter hook, the hot-plugged and cold-plug encoders go on from one fork
+    of each chunk there (``adapted.fork``). For classification the first half
+    trains the heads and the second is scored.
     """
     old_visual, old_text, _ = clip_encoders_from_checkpoint(old_ckpt)
     new_visual = new_text = None
@@ -208,17 +212,18 @@ def hot_plug_report(old_ckpt: Checkpoint, taca_ckpt: Checkpoint,
         raise ConfigError(
             f"projector output dim {adapted.attachment.projector.dim_old} "
             f"!= old embed dim {old_visual.config.embed_dim}")
-    shared = new_visual is not None  # one backbone pass up to the first hook
+    shared = new_visual is not None  # one backbone pass up to the first adapter
     if shared and (differs := new_visual.first_difference(adapted.weights)) is not None:
         _refuse_unless_forced(
             f"new checkpoint visual tensor {differs!r} is not bitwise equal to "
             f"the backbone embedded in the attachment", force)
         shared = False
+    shared = shared and adapted.attachment.first_site() is not None
 
     def encode(x):  # a chunk's old, hot-plug and, with new_ckpt, cold-plug features
-        fork = adapted.fork(x) if shared else None
-        cold = () if new_visual is None else (encode_image(new_visual, x, fork=fork),)
-        return encode_image(old_visual, x), adapted.encode(x, fork), *cold
+        batch = adapted.fork(x) if shared else x
+        cold = () if new_visual is None else (encode_image(new_visual, batch),)
+        return encode_image(old_visual, x), adapted.encode(batch), *cold
 
     labels = eval_dataset.factor_indices()
     old_feats, adapted_feats, *new_feats = encode_chunked(encode, eval_dataset.images)

@@ -175,11 +175,10 @@ class TacaAttachment:
         out["projector.b2"] = self.projector.b2
         return out
 
-    def first_site(self) -> tuple:
-        """The (block, site) of the first hook in forward order; LoRA hooks a
-        block's "qv", adapters its "attn" or "ffn" output (encoders.SITES)."""
-        hooks = [*self.adapters, *((layer, "qv") for layer, _ in self.loras)]
-        return min(hooks, key=lambda hook: (hook[0], SITES.index(hook[1])))
+    def first_site(self) -> tuple | None:
+        """The (block, site) of the first adapter in forward order; None with none,
+        as for LoRA, whose update acts inside the attention weights."""
+        return min(self.adapters, key=lambda h: (h[0], SITES.index(h[1])), default=None)
 
     # Hooks consulted by the encoder forward.
     def apply_adapter(self, layer: int, site: str, x: Tensor) -> Tensor:
@@ -200,16 +199,15 @@ class AdaptedVisualEncoder:
         self.weights = weights
         self.attachment = attachment
 
-    def encode(self, images, fork: tuple | None = None) -> Tensor:
-        """The composed features of one batch, going on from ``fork`` (from
-        ``self.fork``) when given; bitwise equal to the whole pass."""
-        feats = encode_image(self.weights, images, attachment=self.attachment, fork=fork)
+    def encode(self, batch) -> Tensor:
+        """The composed features of a batch: images, or their ``self.fork``,
+        from which the pass goes on bitwise equal to the whole pass."""
+        feats = encode_image(self.weights, batch, attachment=self.attachment)
         return projector_forward(self.attachment.projector, feats)
 
     def fork(self, images, hooked: np.ndarray | None = None) -> tuple:
-        """The frozen backbone's ``image_fork`` at the attachment's first hook, a
-        constant of each image; ``hooked`` is the batch's output there from an
-        earlier fork."""
+        """The frozen backbone's ``image_fork`` at the first adapter, a constant of
+        each image; ``hooked`` is the batch's output there from an earlier fork."""
         return image_fork(self.weights, images, self.attachment.first_site(), hooked)
 
 

@@ -303,7 +303,7 @@ def train_taca(old_ckpt: Checkpoint, new_ckpt: Checkpoint, taca_cfg: TacaConfig,
     backbone's fork at the attachment's first adapter hook, are formed once, in
     chunks; only ``y`` is kept (N x tokens x width float64 values: 13.4 MB at
     2048 images). Each step rebuilds the fork's residual stream from its batch's
-    ``y``. A LoRA hook sits inside the attention, so a LoRA run caches nothing.
+    ``y``. A LoRA attachment has no adapter hook, so a LoRA run caches nothing.
 
     Returns (attachment checkpoint, loss log) where the log holds one row per
     step, with fields ``("step", "total", *components)`` in ``compat_total``'s
@@ -318,19 +318,16 @@ def train_taca(old_ckpt: Checkpoint, new_ckpt: Checkpoint, taca_cfg: TacaConfig,
         loss_cfg, contrastive=ContrastiveConfig(temperature=tau))
     frozen = {"old_visual": old_visual, "old_text": old_text, "new_visual": new_visual}
     snapshot = {label: weights.clone() for label, weights in frozen.items()}
-    # Constants of each sample, formed once, not once per step: the old features
-    # and the y of the new backbone's fork at the first hook. A LoRA hook sits in
-    # the attention ("qv"), where a fork has no y, so the new backbone is not run here.
-    cached = attachment.first_site()[1] != "qv"
-    old_img_all, hooked_all = encode_chunked(lambda x: (
-        encode_image(old_visual, x), adapted.fork(x)[3] if cached else None), dataset.images)
-    old_txt_all = encode_chunked(lambda c: encode_text(old_text, c),
-                                 dataset.captions)
+    cached = attachment.first_site() is not None
+    old_img_all = encode_chunked(lambda x: encode_image(old_visual, x), dataset.images)
+    if cached:
+        hooked_all = encode_chunked(lambda x: adapted.fork(x)[3], dataset.images)
+    old_txt_all = encode_chunked(lambda c: encode_text(old_text, c), dataset.captions)
 
     def loss_of(batch):
-        fork = adapted.fork(dataset.images[batch], hooked_all[batch] if cached else None)
-        return compat_total(adapted.encode(dataset.images[batch], fork),
-                            Tensor(old_txt_all[batch]), Tensor(old_img_all[batch]),
+        images = dataset.images[batch]
+        feats = adapted.encode(adapted.fork(images, hooked_all[batch]) if cached else images)
+        return compat_total(feats, Tensor(old_txt_all[batch]), Tensor(old_img_all[batch]),
                             loss_cfg)
 
     log = _fit(attachment.trainable_tensors(), len(dataset), train_cfg, loss_of)

@@ -389,9 +389,40 @@ class TestImageFork:
         want = encode_image(weights, images).values
         whole = image_fork(weights, images, (block, site))
         assert whole[:2] == (block, site)
-        assert (whole[3] is None) == (site == "qv")  # a "qv" hook has no output yet
-        y = None if whole[3] is None else whole[3].values
-        rebuilt = image_fork(weights, images, (block, site), y)  # as from a cache
+        assert whole[3].shape == whole[2].shape  # the output the hook acts on
+        rebuilt = image_fork(weights, images, (block, site), whole[3].values)  # from a cache
         assert np.array_equal(rebuilt[2].values, whole[2].values)
         for fork in (whole, rebuilt):
-            assert np.array_equal(encode_image(weights, images, fork=fork).values, want)
+            assert np.array_equal(encode_image(weights, fork).values, want)
+
+    # LoRA's former pseudo-site sits inside the attention, where no adapter hooks.
+    @pytest.mark.parametrize("site", [(VCFG.layers, "ffn"), (0, "mlp"), (-1, "ffn"),
+                                      (0, "qv"), None],
+                             ids=["past-last-block", "unknown-site", "negative-block",
+                                  "inside-attention", "none"])
+    def test_a_site_outside_the_encoder_is_refused(self, site):
+        weights = init_encoder(VCFG, seed=3)
+        images = np.zeros((3, 16, 16, 1))
+        with pytest.raises(ParameterError, match="is not a .block, site."):
+            image_fork(weights, images, site)
+        with pytest.raises(ParameterError):  # also with a cached output
+            image_fork(weights, images, site, np.zeros((3, 17, VCFG.width)))
+
+    def test_another_batchs_output_is_refused(self):
+        weights = init_encoder(VCFG, seed=3)
+        rng = np.random.default_rng(4)
+        a, b = rng.uniform(size=(3, 16, 16, 1)), rng.uniform(size=(5, 16, 16, 1))
+        y = image_fork(weights, b, (0, "ffn"))[3].values
+        with pytest.raises(DimensionError, match=r"\(5, 17, 32\).*\(3, 17, 32\)"):
+            image_fork(weights, a, (0, "ffn"), y)
+
+    def test_a_tuple_of_images_is_not_a_fork(self):
+        weights = init_encoder(VCFG, seed=3)
+        images = np.random.default_rng(4).uniform(size=(4, 16, 16, 1))
+        assert np.array_equal(encode_image(weights, tuple(images.tolist())).values,
+                              encode_image(weights, images).values)
+
+    def test_text_weights_refuse_an_image_fork(self):
+        fork = image_fork(init_encoder(VCFG, seed=3), np.zeros((5, 16, 16, 1)), (0, "ffn"))
+        with pytest.raises(ConfigError, match="visual weights"):
+            encode_image(init_encoder(TCFG, seed=1), fork)

@@ -128,6 +128,15 @@ class TestRecallAtK:
         with pytest.raises(ParameterError):
             recall_at_k(self.GALLERY, self.GALLERY, np.array(truth), 1)
 
+    def test_no_queries_is_contract_error(self):
+        with pytest.raises(ContractError, match="no queries"):
+            recall_at_k(np.zeros((0, 2)), self.GALLERY, np.zeros(0, int), 1)
+
+    @pytest.mark.parametrize("queries", [np.ones((3, 3)), np.ones(3)], ids=["wide", "flat"])
+    def test_query_width_must_fit_the_gallery(self, queries):
+        with pytest.raises(DimensionError, match=r"queries \(3,( 3)?\) vs gallery \(3, 2\)"):
+            recall_at_k(queries, self.GALLERY, np.arange(3), 1)
+
 
 def tape_train_head(features, labels, num_classes: int, seed: int,
                     steps: int = 300, lr: float = 0.05) -> DownstreamHead:
@@ -285,7 +294,7 @@ class TestHotPlugReport:
         ds, eva, old, new, taca = tiny_pipeline
         old_visual, _, _ = clip_encoders_from_checkpoint(old)
         monkeypatch.setattr(AdaptedVisualEncoder, "encode",
-                            lambda self, images, fork=None: encode_image(old_visual, images))
+                            lambda self, batch: encode_image(old_visual, batch))
         for task in ("retrieval", "classification"):
             r = hot_plug_report(old, taca, None, eva, task)
             assert r.m_old_new == r.m_old_old
@@ -334,13 +343,16 @@ class TestHotPlugReport:
         real_encode = evaluation.encode_image
         real_adapted = AdaptedVisualEncoder.encode
 
-        def counting_encode(weights, images, **kwargs):  # the old and the new features
-            rows[role[weights.config.embed_dim]] += images.shape[0]
-            return real_encode(weights, images, **kwargs)
+        def batch_rows(batch):  # an image array, or a fork of one: its stream's rows
+            return (batch[2] if isinstance(batch, tuple) else batch).shape[0]
 
-        def counting_adapted(self, images, fork=None):  # the hot-plugged features
-            rows["adapted"] += images.shape[0]
-            return real_adapted(self, images, fork)
+        def counting_encode(weights, batch, **kwargs):  # the old and the new features
+            rows[role[weights.config.embed_dim]] += batch_rows(batch)
+            return real_encode(weights, batch, **kwargs)
+
+        def counting_adapted(self, batch):  # the hot-plugged features
+            rows["adapted"] += batch_rows(batch)
+            return real_adapted(self, batch)
 
         monkeypatch.setattr(evaluation, "encode_image", counting_encode)
         monkeypatch.setattr(AdaptedVisualEncoder, "encode", counting_adapted)

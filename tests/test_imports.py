@@ -1,6 +1,7 @@
 """Every name imported into a library module is used there, every
-module-level private function or class is referenced there, and every public
-function or method is named by the library, its re-exports or the benchmark.
+module-level private function or class is referenced there, every public
+function or method is named by the library, its re-exports or the benchmark,
+and the benchmark's tracer finds and restores every library name it patches.
 
 No lint tool ships with the project, so this walks each module's syntax tree
 with the standard library. Package ``__init__`` re-exports are exempt from the
@@ -8,11 +9,14 @@ unused-import check.
 """
 
 import ast
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hotplug
+from hotplug import autodiff as ad, encoders, losses, peft, training
 
 SRC = Path(hotplug.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -134,3 +138,50 @@ def test_no_public_code_that_only_tests_call():
     users = [path.read_text() for path in PERFBENCH.glob("*.py")]
     assert users, f"no perfbench sources under {PERFBENCH}"
     assert called_only_by_tests(sources, users) == []
+
+
+def test_the_benchmark_tracer_binds_and_restores_the_library(monkeypatch):
+    """perfbench's tracer patches library names from outside; a rename there
+    would break its traced rounds only, so one tiny adapter step and one tiny
+    LoRA step run under it here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks  # noqa: F401  (the benchmark's checks import the tracer too)
+    import tracer
+
+    owners = [mod for name, mod in sys.modules.items()
+              if name == "hotplug" or name.startswith("hotplug.")]
+    owners += [peft.AdaptedVisualEncoder, peft.LoRAModule, training.AdamW]
+    before = [(owner, dict(vars(owner))) for owner in owners]
+    cfg = encoders.VisualEncoderConfig(encoders.ImageSpec(8, 8, 1, 4), layers=2,
+                                       width=16, heads=2, embed_dim=8)
+    rng = np.random.default_rng(0)
+    images = rng.uniform(size=(4, 8, 8, 1))
+    old = rng.normal(size=(4, 6))
+    old = ad.Tensor(old / np.linalg.norm(old, axis=1, keepdims=True))  # old text and image
+    unpatched = encoders.encode_image
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        assert peft.encode_image is not unpatched  # bound where peft calls it
+        for taca in (peft.TacaConfig(bottleneck=4), peft.TacaConfig(variant="lora", rank=2)):
+            attachment, adapted = peft.attach_taca(encoders.init_encoder(cfg, seed=1), taca,
+                                                   6, seed=2)
+            opt = training.AdamW(attachment.trainable_tensors(), lr=1e-3)
+            with ad.new_tape():
+                batch = images if taca.variant == "lora" else adapted.fork(images)
+                loss, _ = losses.compat_total(adapted.encode(batch), old, old,
+                                              losses.CompatLossConfig())
+                ad.backward(loss)
+                opt.step()
+    finally:
+        tr.uninstall()
+    names = {span[0] for span in tr.spans}
+    assert {"autodiff.step", "autodiff.matmul", "autodiff.relu", "autodiff.gelu",
+            "autodiff.backward", "encoders.encode_image", "peft.adapted_encode",
+            "peft.adapter_forward", "peft.projector_forward",
+            "peft.lora_effective_weight", "losses.compat_total",
+            "training.AdamW.step"} <= names
+    assert tracer.layer_metrics(tr)["autodiff.backward_calls"] == 2
+    for owner, bound in before:  # every patched binding is back
+        now = vars(owner)
+        assert [key for key, value in bound.items() if now.get(key) is not value] == [], owner

@@ -12,7 +12,7 @@ from hotplug.encoders import (
     encode_image,
     init_encoder,
 )
-from hotplug.errors import ConfigError, DimensionError
+from hotplug.errors import ConfigError, DimensionError, ParameterError
 from hotplug.peft import (
     Adapter,
     DimensionProjector,
@@ -205,8 +205,8 @@ ARMS = {
     "adapter": (TacaConfig(bottleneck=8), (0, "ffn")),
     "adapters_per_block_2": (TacaConfig(bottleneck=8, adapters_per_block=2), (0, "attn")),
     "inserted_layers_2_3": (TacaConfig(bottleneck=8, inserted_layers=(2, 3)), (1, "ffn")),
-    "lora": (TacaConfig(variant="lora", rank=4), (0, "qv")),
-    "lora_layers_2_3": (TacaConfig(variant="lora", rank=4, inserted_layers=(2, 3)), (1, "qv")),
+    "lora": (TacaConfig(variant="lora", rank=4), None),
+    "lora_layers_2_3": (TacaConfig(variant="lora", rank=4, inserted_layers=(2, 3)), None),
 }
 
 
@@ -227,19 +227,26 @@ class TestSharedBackbonePass:
             t.values = rng.normal(0.0, 0.1, size=t.shape)
         images = rng.uniform(size=(n, 16, 16, 1))
 
-        def hot_and_cold(x):  # one backbone pass up to the first hook
-            fork = adapted.fork(x)
-            return adapted.encode(x, fork), encode_image(weights, x, fork=fork), fork[3]
+        shared = attachment.first_site() is not None  # LoRA: no adapter, no fork
 
-        hot, cold, hooked = encode_chunked(hot_and_cold, images)
+        def hot_and_cold(x):  # one backbone pass up to the first adapter
+            batch = adapted.fork(x) if shared else x
+            return adapted.encode(batch), encode_image(weights, batch)
+
+        hot, cold = encode_chunked(hot_and_cold, images)
         assert np.array_equal(hot, encode_chunked(adapted.encode, images))
         assert np.array_equal(cold, encode_chunked(lambda x: encode_image(weights, x),
                                                    images))
         unhooked = projector_forward(attachment.projector, Tensor(cold)).values
         assert not np.allclose(hot, unhooked)  # the hooks act past the fork
         batch = rng.permutation(n)[:32]  # a training batch resumed from the cache
-        fork = adapted.fork(images[batch], None if hooked is None else hooked[batch])
-        assert np.array_equal(adapted.encode(images[batch], fork).values, hot[batch])
+        if shared:
+            hooked = encode_chunked(lambda x: adapted.fork(x)[3], images)
+            fork = adapted.fork(images[batch], hooked[batch])
+            assert np.array_equal(adapted.encode(fork).values, hot[batch])
+        else:
+            with pytest.raises(ParameterError, match="site None"):
+                adapted.fork(images[batch])
 
 
 class TestCountTrainable:
