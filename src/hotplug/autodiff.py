@@ -9,8 +9,10 @@ closure keeps only the arrays its wanted gradients read, chosen when it is
 recorded (``matmul`` and ``mul`` keep an operand only for the other's gradient,
 ``layer_norm`` its normalized input only for its input's or gain's, gelu one
 derivative array, relu a mask), so an activation is freed as soon as the forward
-drops it. Arrays are plain numpy ``float64``; there is no implicit broadcasting
-except ``matmul``'s bias over the last axis.
+drops it. ``backward`` consumes what it walks: a record is dropped once its vjp
+has run, so the arrays its closure keeps die during the walk, and only records
+the walk never reached stay on the tape. Arrays are plain numpy ``float64``;
+there is no implicit broadcasting except ``matmul``'s bias over the last axis.
 """
 
 from __future__ import annotations
@@ -129,22 +131,33 @@ def backward(loss: Tensor):
     """Populate ``grad`` on every trainable ancestor of a scalar loss.
 
     Gradients accumulate into existing ``grad`` buffers (reset ``grad`` to
-    None between independent passes).
+    None between independent passes). The walk consumes the active tape: each
+    record it reaches is dropped once its vjp has run, and only records it
+    never reaches stay, for another loss on the same tape. A gradient that
+    reaches a taped output whose record is not on the active tape (consumed by
+    an earlier walk, or recorded on another tape) raises ``ContractError``.
     """
     if loss.values.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     # Keyed by identity: taped outputs by their node, leaves by themselves.
     grads = {loss.needs_grad or loss: np.ones_like(loss.values)}
-    for node, keys, vjp in reversed(_tape.records):
+    records = _tape.records
+    for i in range(len(records) - 1, -1, -1):
+        node, keys, vjp = records[i]
         g = grads.pop(node, None)
         if g is None:
             continue
+        records[i] = None
         for key, pg in zip(keys, vjp(g)):
             if pg is None or key is None:
                 continue
             acc = grads.get(key)
             grads[key] = pg if acc is None else acc + pg
-    # Every recorded node was popped above, so what is left are the leaves.
+    records[:] = [r for r in records if r is not None]
+    # Every node on the tape was popped above, so what is left are the leaves.
+    if any(isinstance(key, _Node) for key in grads):
+        raise ContractError("backward: a gradient reached a record that is not on the "
+                            "active tape (an earlier backward consumed it, or another tape has it)")
     for leaf, g in grads.items():
         if isinstance(leaf, Tensor) and leaf.trainable:
             leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
@@ -341,10 +354,18 @@ def elementwise_activation(a: Tensor, kind: str) -> Tensor:
             _record(out, (a,), lambda g: (g * mask,))
         return out
     if kind == "gelu":
+        # phi + x * (exp(-0.5 * x * x) / sqrt(2 pi)), then x * phi, in place
         phi = ndtr(x)
-        out = Tensor(x * phi)
+        d = None
         if _grad_enabled and _wants_grad(a):
-            d = phi + x * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))
+            d = np.multiply(-0.5, x)
+            d *= x
+            np.exp(d, out=d)
+            d /= np.sqrt(2.0 * np.pi)
+            d *= x
+            d += phi
+        out = Tensor(np.multiply(x, phi, out=phi))
+        if d is not None:
             _record(out, (a,), lambda g: (g * d,))
         return out
     raise ParameterError(f"unknown activation kind: {kind!r}")
@@ -352,9 +373,9 @@ def elementwise_activation(a: Tensor, kind: str) -> Tensor:
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise (last axis) softmax, max-subtracted."""
-    z = a.values - a.values.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = a.values - a.values.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     out = Tensor(s)
 
     def vjp(g):
@@ -405,7 +426,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat = a.values - a.values.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
-    out = Tensor(xhat * gain.values + bias.values)
+    out = xhat * gain.values
+    out = Tensor(np.add(out, bias.values, out=out))
     gv = gain.values
     lead = tuple(range(a.values.ndim - 1))
     x_grad, gain_grad, bias_grad = _wants_grad(a), _wants_grad(gain), _wants_grad(bias)

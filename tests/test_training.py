@@ -318,9 +318,10 @@ class TestTapePruning:
         with ad.new_tape() as tape:
             total, _ = compat_total(adapted.encode(ds.images[batch]), old_txt,
                                     old_img, loss_cfg)
+            records = len(tape)  # backward consumes the tape
             ad.backward(total)
         grads = {name: t.grad for name, t in attachment.named_tensors().items()}
-        return grads, len(tape)
+        return grads, records
 
     @pytest.mark.parametrize("taca_cfg", [
         TacaConfig(bottleneck=4, projector_hidden=8),
