@@ -354,11 +354,12 @@ def elementwise_activation(a: Tensor, kind: str) -> Tensor:
             _record(out, (a,), lambda g: (g * mask,))
         return out
     if kind == "gelu":
-        # phi + x * (exp(-0.5 * x * x) / sqrt(2 pi)), then x * phi, in place
-        phi = ndtr(x)
+        # The derivative phi + x * (exp(-0.5 * x * x) / sqrt(2 pi)), then x * phi,
+        # each built in one buffer in that order; out= keeps a 0-d result an array.
+        phi = ndtr(x, out=np.empty_like(x))
         d = None
         if _grad_enabled and _wants_grad(a):
-            d = np.multiply(-0.5, x)
+            d = np.multiply(-0.5, x, out=np.empty_like(x))
             d *= x
             np.exp(d, out=d)
             d /= np.sqrt(2.0 * np.pi)

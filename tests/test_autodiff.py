@@ -211,9 +211,11 @@ class TestKernelsBitwise:
     """gelu, softmax_rows and layer_norm build their results in place; every
     value and gradient equals the plain expressions below bit for bit."""
 
-    def test_gelu_value_and_gradient(self):
+    @pytest.mark.parametrize("shape", [(6, 9), ()], ids=["matrix", "scalar"])
+    def test_gelu_value_and_gradient(self, shape):
         rng = np.random.default_rng(40)
-        x, c = _kernel_input(rng, (6, 9)), rng.normal(size=(6, 9))
+        x = _kernel_input(rng, shape) if shape else np.array(9.5)
+        c = rng.normal(size=shape)
         phi = ndtr(x)
         d = phi + x * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))
         with ad.new_tape():
