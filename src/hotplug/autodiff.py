@@ -154,7 +154,7 @@ def backward(loss: Tensor):
             acc = grads.get(key)
             grads[key] = pg if acc is None else acc + pg
     records[:] = [r for r in records if r is not None]
-    # Every node on the tape was popped above, so what is left are the leaves.
+    # Every node on the tape was popped above: a node left over has no record here.
     if any(isinstance(key, _Node) for key in grads):
         raise ContractError("backward: a gradient reached a record that is not on the "
                             "active tape (an earlier backward consumed it, or another tape has it)")
