@@ -52,11 +52,6 @@ class LatentFactor:
                 and 0 <= self.position_id < NUM_POSITIONS):
             raise ParameterError(f"latent factor out of range: {self}")
 
-    @property
-    def index(self) -> int:
-        return (self.shape_id * NUM_COLORS + self.color_level) * NUM_POSITIONS \
-            + self.position_id
-
     @classmethod
     def from_index(cls, index: int) -> "LatentFactor":
         if not 0 <= index < NUM_FACTORS:
@@ -154,15 +149,6 @@ class Dataset:
                    self.latents[:, 1].astype(np.int64),
                    self.latents[:, 2].astype(np.int64))
         return (s * NUM_COLORS + c) * NUM_POSITIONS + p
-
-    def __eq__(self, other):
-        return (isinstance(other, Dataset)
-                and self.spec == other.spec
-                and self.seed == other.seed
-                and self.config_digest == other.config_digest
-                and np.array_equal(self.images, other.images)
-                and np.array_equal(self.captions, other.captions)
-                and np.array_equal(self.latents, other.latents))
 
 
 def _record_seed(seed: int, index: int) -> np.random.SeedSequence:

@@ -177,16 +177,12 @@ def _patchify_batch(images: np.ndarray, spec: ImageSpec) -> np.ndarray:
     return x.reshape(b, gh * gw, spec.patch_dim)
 
 
-def _attention(params, prefix: str, x: Tensor, heads: int, attachment=None,
-               layer: int | None = None) -> Tensor:
+def _attention(params, prefix: str, x: Tensor, heads: int) -> Tensor:
     b, t, k = x.shape
     dh = k // heads
-    wq, wv = params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.wv"]
-    if attachment is not None:
-        wq, wv = attachment.qv_weights(layer, wq, wv)
-    q = ad.matmul(x, wq, params[f"{prefix}.attn.bq"])
+    q = ad.matmul(x, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"])
     kk = ad.matmul(x, params[f"{prefix}.attn.wk"])  # no key bias: the softmax cancels it
-    v = ad.matmul(x, wv, params[f"{prefix}.attn.bv"])
+    v = ad.matmul(x, params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"])
 
     def split(h):
         return ad.transpose(ad.reshape(h, (b, t, heads, dh)), (0, 2, 1, 3))
@@ -210,7 +206,11 @@ def _trunk(weights: EncoderWeights, fork: tuple, readout: int,
     (block, site) the trunk returns its fork there before forming ``y``;
     ``_site_output`` forms it. The last block keeps only the readout row after
     its attention residual, so its FFN runs on (B, width).
+    An ``attachment`` reaches the backbone here alone: its weights once per
+    pass, through ``weights_on``, its activations through ``apply_adapter``.
     """
+    if attachment is not None:
+        weights = attachment.weights_on(weights)
     cfg = weights.config
     first, site, x, y = fork
     for i in range(first, cfg.layers):
@@ -218,7 +218,7 @@ def _trunk(weights: EncoderWeights, fork: tuple, readout: int,
             if (i, s) == stop:
                 return i, s, x, y
             if y is None:
-                y = _site_output(weights, (i, s, x, None), attachment)
+                y = _site_output(weights, (i, s, x, None))
             if attachment is not None:
                 y = attachment.apply_adapter(i, s, y)
             x, y = ad.add(x, y), None
@@ -231,15 +231,14 @@ def _trunk(weights: EncoderWeights, fork: tuple, readout: int,
     return ad.l2_normalize_rows(ad.matmul(head, params["proj"]))
 
 
-def _site_output(weights: EncoderWeights, fork: tuple, attachment=None):
+def _site_output(weights: EncoderWeights, fork: tuple):
     """The output a fork's site hooks, formed from its residual stream: the
-    attention's at "attn" (through ``attachment``'s q/v hooks), the FFN's at
-    "ffn"."""
+    attention's at "attn", the FFN's at "ffn"."""
     i, site, x, _ = fork
     params, p = weights.params, f"block{i}"
     if site == "attn":
         a_in = ad.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        return _attention(params, p, a_in, weights.config.heads, attachment, i)
+        return _attention(params, p, a_in, weights.config.heads)
     f_in = ad.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
     h = ad.matmul(f_in, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])
     h = ad.elementwise_activation(h, "gelu")

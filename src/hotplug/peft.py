@@ -18,6 +18,10 @@ from .encoders import SITES, EncoderWeights, VisualEncoderConfig, encode_image, 
 from .errors import ConfigError, DimensionError, checked, check_fields
 
 PROJECTOR_INIT_STD = 0.02
+# The attention weights that LoRA adapts in each inserted block, and the
+# backbone's name for target t's weight in block b: LORA_WEIGHT.format(b, t).
+LORA_TARGETS = ("q", "v")
+LORA_WEIGHT = "block{}.attn.w{}"
 
 
 class Adapter:
@@ -180,16 +184,20 @@ class TacaAttachment:
         as for LoRA, whose update acts inside the attention weights."""
         return min(self.adapters, key=lambda h: (h[0], SITES.index(h[1])), default=None)
 
-    # Hooks consulted by the encoder forward.
+    # The encoder trunk's two hooks: weights once per pass, activations per site.
+    def weights_on(self, backbone: EncoderWeights) -> EncoderWeights:
+        """``backbone`` with each LoRA-adapted weight W replaced by its effective
+        weight W + (alpha/r) A B; ``backbone`` itself when there is no LoRA."""
+        if not self.loras:
+            return backbone
+        params = dict(backbone.params)
+        for (layer, which), module in self.loras.items():
+            params[LORA_WEIGHT.format(layer, which)] = module.effective_weight()
+        return EncoderWeights(backbone.config, params)
+
     def apply_adapter(self, layer: int, site: str, x: Tensor) -> Tensor:
         adapter = self.adapters.get((layer, site))
         return x if adapter is None else adapter_forward(adapter, x)
-
-    def qv_weights(self, layer: int, wq: Tensor, wv: Tensor):
-        lq = self.loras.get((layer, "q"))
-        lv = self.loras.get((layer, "v"))
-        return (lq.effective_weight() if lq else wq,
-                lv.effective_weight() if lv else wv)
 
 
 class AdaptedVisualEncoder:
@@ -226,16 +234,15 @@ def attach_taca(new_encoder: EncoderWeights, config: TacaConfig, dim_old: int,
     new_encoder.set_trainable(False)
     adapters, loras = {}, {}
     if config.variant == "adapter":
-        sites = ("ffn",) if config.adapters_per_block == 1 else ("attn", "ffn")
         for layer in layers:
-            for site in sites:
+            for site in SITES[-config.adapters_per_block:]:
                 adapters[(layer - 1, site)] = Adapter(
                     cfg.width, config.bottleneck, config.activation, rng)
     else:
         for layer in layers:
-            for which in ("q", "v"):
+            for which in LORA_TARGETS:
                 loras[(layer - 1, which)] = LoRAModule(
-                    new_encoder.params[f"block{layer - 1}.attn.w{which}"],
+                    new_encoder.params[LORA_WEIGHT.format(layer - 1, which)],
                     config.rank, config.lora_alpha, rng)
     projector = DimensionProjector(cfg.embed_dim, config.projector_hidden,
                                    dim_old, config.activation, rng)
@@ -257,7 +264,7 @@ def count_trainable(config: TacaConfig, encoder_config: VisualEncoderConfig,
     d_n = encoder_config.embed_dim
     d_p = config.projector_hidden
     if config.variant == "lora":
-        weight_count = (len(layers) * 2 * config.rank
+        weight_count = (len(layers) * len(LORA_TARGETS) * config.rank
                         * (k + k)) + d_n * d_p + d_p * dim_old
         exact = weight_count + d_p + dim_old
         return {"variant": "lora", "formula_count": weight_count,

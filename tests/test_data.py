@@ -25,10 +25,20 @@ from hotplug.errors import FormatError, ParameterError, TruncatedFileError
 SPEC = ImageSpec(16, 16, 1, 4)
 
 
+def same_dataset(a: Dataset, b: Dataset) -> bool:
+    return (a.spec == b.spec and a.seed == b.seed and a.config_digest == b.config_digest
+            and all(np.array_equal(getattr(a, f), getattr(b, f))
+                    for f in ("images", "captions", "latents")))
+
+
 class TestLatentFactor:
     def test_index_round_trip(self):
-        for i in range(NUM_FACTORS):
-            assert LatentFactor.from_index(i).index == i
+        latents = [LatentFactor.from_index(i) for i in range(NUM_FACTORS)]
+        ds = Dataset(SPEC, np.zeros((NUM_FACTORS, 16, 16, 1)),
+                     np.zeros((NUM_FACTORS, CAPTION_LEN), dtype=np.uint32),
+                     np.array([(z.shape_id, z.color_level, z.position_id) for z in latents],
+                              dtype=np.uint8), seed=0)
+        assert ds.factor_indices().tolist() == list(range(NUM_FACTORS))
 
     def test_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -101,12 +111,12 @@ class TestGenerateDataset:
     def test_deterministic(self):
         a = generate_dataset(32, 7, SPEC)
         b = generate_dataset(32, 7, SPEC)
-        assert a == b
+        assert same_dataset(a, b)
 
     def test_different_seed_differs(self):
         a = generate_dataset(32, 7, SPEC)
         b = generate_dataset(32, 8, SPEC)
-        assert a != b
+        assert not np.array_equal(a.images, b.images)
 
     def test_prefix_stability(self):
         # Record i depends only on (seed, i), not on n.
@@ -126,7 +136,7 @@ class TestGenerateDataset:
         ds = generate_dataset(64, 11, SPEC)
         for i in range(len(ds)):
             z = latent_from_caption(ds.captions[i])
-            assert z.index == ds.factor_indices()[i]
+            assert LatentFactor.from_index(int(ds.factor_indices()[i])) == z
 
     def test_nearest_centroid_position_recovery(self):
         # Images carry their position so strongly that a nearest-centroid
@@ -157,7 +167,7 @@ class TestDatasetFile:
         path = tmp_path / "d.tacd"
         save_dataset(ds, path)
         loaded = load_dataset(path)
-        assert loaded == ds
+        assert same_dataset(loaded, ds)
         assert loaded.config_digest == "abc123"
 
     def test_save_is_deterministic(self, tmp_path):

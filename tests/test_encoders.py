@@ -219,11 +219,13 @@ GRAD_RTOL = 1e-10  # the pruned last-block FFN sums its weight gradients in one 
 
 def _full_sequence_blocks(weights, x, heads, attachment=None):
     """Every row through every block, as before the pruning."""
-    params = weights.params
+    params = dict(weights.params)
+    for (i, which), module in getattr(attachment, "loras", {}).items():  # W + (alpha/r) AB
+        params[f"block{i}.attn.w{which}"] = module.effective_weight()
     for i in range(weights.config.layers):
         p = f"block{i}"
         a_in = ad.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        a_out = _attention(params, p, a_in, heads, attachment, i)
+        a_out = _attention(params, p, a_in, heads)
         if attachment is not None:
             a_out = attachment.apply_adapter(i, "attn", a_out)
         x = ad.add(x, a_out)

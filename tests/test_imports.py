@@ -1,7 +1,8 @@
 """Every name imported into a library module is used there, every
 module-level private function or class is referenced there, every public
 function or method is named by the library, its re-exports or the benchmark,
-and the benchmark's tracer finds and restores every library name it patches.
+the encoder reads nothing from an attachment but its two hooks, and the
+benchmark's tracer finds and restores every library name it patches.
 
 No lint tool ships with the project, so this walks each module's syntax tree
 with the standard library. Package ``__init__`` re-exports are exempt from the
@@ -138,6 +139,29 @@ def test_no_public_code_that_only_tests_call():
     users = [path.read_text() for path in PERFBENCH.glob("*.py")]
     assert users, f"no perfbench sources under {PERFBENCH}"
     assert called_only_by_tests(sources, users) == []
+
+
+TRUNK_HOOKS = ("weights_on", "apply_adapter")
+
+
+def attachment_reads(source: str) -> list:
+    """Attributes read from the name ``attachment`` other than the trunk's hooks."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "attachment" and node.attr not in TRUNK_HOOKS)
+
+
+def test_guard_flags_an_attachment_read_past_the_hooks():
+    source = ("def _trunk(weights, x, attachment=None):\n"
+              "    weights = attachment.weights_on(weights)\n"
+              "    x = attachment.apply_adapter(0, 'ffn', x)\n"
+              "    return attachment.qv_weights(0, x, x), attachment.loras\n")
+    assert attachment_reads(source) == [(4, "loras"), (4, "qv_weights")]
+
+
+def test_the_encoder_reaches_an_attachment_through_its_hooks_only():
+    assert all(callable(getattr(peft.TacaAttachment, hook)) for hook in TRUNK_HOOKS)
+    assert attachment_reads((SRC / "encoders.py").read_text()) == []
 
 
 def test_the_benchmark_tracer_binds_and_restores_the_library(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hotplug import autodiff as ad
 from hotplug.autodiff import Tensor
 from hotplug.encoders import (
+    EncoderWeights,
     ImageSpec,
     VisualEncoderConfig,
     encode_chunked,
@@ -199,6 +200,47 @@ class TestAttachment:
         image = np.random.default_rng(2).uniform(size=(2, 16, 16, 1))
         out = adapted.encode(image)
         assert out.shape == (2, 16)
+
+
+class TestWeightSubstitution:
+    """A LoRA attachment reaches the backbone as weights: W + (alpha/r) A B in
+    place of each adapted q/v weight, formed once per pass."""
+
+    @pytest.mark.parametrize("layers", [(), (2, 3)])
+    def test_lora_forward_is_the_substituted_backbone(self, layers):
+        weights = init_encoder(NEW_CFG, seed=0)
+        cfg = TacaConfig(variant="lora", rank=4, inserted_layers=layers)
+        attachment, _ = attach_taca(weights, cfg, 16, seed=1)
+        rng = np.random.default_rng(2)
+        for t in attachment.trainable_tensors():
+            t.values = rng.normal(0.0, 0.1, size=t.shape)
+        params = dict(weights.params)
+        for (i, which), m in attachment.loras.items():  # W + (alpha/r) A B
+            params[f"block{i}.attn.w{which}"] = Tensor(
+                m.base.values + (m.alpha / m.rank) * (m.a.values @ m.b.values))
+        substituted = EncoderWeights(NEW_CFG, params)
+        images = rng.uniform(size=(5, 16, 16, 1))
+        hot = encode_image(weights, images, attachment).values
+        assert np.array_equal(hot, encode_image(substituted, images).values)
+        assert not np.allclose(hot, encode_image(weights, images).values)
+
+    @pytest.mark.parametrize("layers", [(), (2, 3)])
+    def test_each_effective_weight_is_formed_once_per_pass(self, layers, monkeypatch):
+        weights = init_encoder(NEW_CFG, seed=0)
+        cfg = TacaConfig(variant="lora", rank=4, inserted_layers=layers)
+        attachment, _ = attach_taca(weights, cfg, 16, seed=1)
+        formed = []
+        original = LoRAModule.effective_weight
+        monkeypatch.setattr(LoRAModule, "effective_weight",
+                            lambda self: formed.append(self) or original(self))
+        encode_image(weights, np.zeros((3, 16, 16, 1)), attachment)
+        assert len(formed) == 2 * len(cfg.resolve_layers(NEW_CFG.layers))
+        assert sorted(map(id, formed)) == sorted(map(id, attachment.loras.values()))
+
+    def test_an_adapter_attachment_substitutes_nothing(self):
+        weights = init_encoder(NEW_CFG, seed=0)
+        attachment, _ = attach_taca(weights, TacaConfig(bottleneck=8), 16, seed=1)
+        assert attachment.weights_on(weights) is weights
 
 
 ARMS = {
